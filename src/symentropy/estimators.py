@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 from scipy.spatial import cKDTree
 from scipy.special import digamma, erfc, gammaln
 
@@ -301,20 +301,19 @@ class ScoreProjectionReport:
 
 
 def _conditional_parts(mix, a):
-    # Per-component conditionals of X given Y = A X: gain, mean offset, and a
-    # PSD factor of the conditional covariance (eigenvalues below the floor
-    # are treated as exact zeros so degenerate conditioning stays exact).
+    # Per-component conditionals of X given Y = A X: gain and a PSD factor of
+    # the conditional covariance (eigenvalues below the floor are treated as
+    # exact zeros so degenerate conditioning stays exact).
     parts = []
-    for mu, cov in zip(mix.means, mix.covs):
-        s = a @ cov @ a.T
-        chol_s = np.linalg.cholesky(s)
+    for cov in mix.covs:
+        chol_s = np.linalg.cholesky(a @ cov @ a.T)
         gain = cho_solve((chol_s, True), a @ cov).T
         cond_cov = cov - gain @ (a @ cov)
         eigval, eigvec = np.linalg.eigh(0.5 * (cond_cov + cond_cov.T))
         floor = 1e-12 * max(1.0, float(eigval[-1]))
         eigval = np.where(eigval < floor, 0.0, eigval)
         factor = eigvec * np.sqrt(eigval)
-        parts.append((chol_s, gain, factor))
+        parts.append((gain, factor))
     return parts
 
 
@@ -325,6 +324,8 @@ def score_projection_residual(mix, a, probes=16, count=4096, seed=0):
     Y = y (Gaussian per component), so single-Gaussian inputs are evaluated
     analytically and the residual is at rounding level; multi-component
     inputs average Monte Carlo draws from the exact conditional mixture.
+    The posterior component weights given Y = y are the responsibilities
+    of the push-forward law, whose components match those of ``mix``.
     """
     a = np.asarray(a, dtype=float)
     k, n = a.shape
@@ -335,24 +336,16 @@ def score_projection_residual(mix, a, probes=16, count=4096, seed=0):
         raise RankDeficientError("rows are not orthonormal")
     y_mix = push_forward_linear(mix, a)
     ys = y_mix.sample(int(probes), seed)
+    lhs_all = y_mix.score(ys)
+    posts = y_mix.responsibilities(ys)
     parts = _conditional_parts(mix, a)
-    log_w = np.log(mix.weights)
 
     residuals, stderrs = [], []
-    for p_idx, y in enumerate(ys):
-        lhs = np.asarray(y_mix.score(y))
-        log_post = np.empty(mix.n_components)
-        for m in range(mix.n_components):
-            chol_s = parts[m][0]
-            z = solve_triangular(chol_s, y - a @ mix.means[m], lower=True)
-            log_post[m] = log_w[m] - 0.5 * float(z @ z) - float(np.sum(np.log(np.diag(chol_s))))
-        post = np.exp(log_post - log_post.max())
-        post /= post.sum()
+    for p_idx, (y, lhs, post) in enumerate(zip(ys, lhs_all, posts)):
         if mix.n_components == 1:
-            chol_s, gain, _ = parts[0]
+            gain, _ = parts[0]
             cond_mean = mix.means[0] + gain @ (y - a @ mix.means[0])
-            rho = -cho_solve((mix._chol[0], True), cond_mean - mix.means[0])
-            rhs = a @ rho
+            rhs = a @ mix.score(cond_mean)
             se = 0.0
         else:
             rng = np.random.default_rng(split_seed(seed, 1000 + p_idx))
@@ -362,7 +355,7 @@ def score_projection_residual(mix, a, probes=16, count=4096, seed=0):
             for m in range(mix.n_components):
                 mask = comp == m
                 if np.any(mask):
-                    _, gain, factor = parts[m]
+                    gain, factor = parts[m]
                     cond_mean = mix.means[m] + gain @ (y - a @ mix.means[m])
                     x[mask] = cond_mean + z[mask] @ factor.T
             s = np.asarray(mix.score(x)) @ a.T

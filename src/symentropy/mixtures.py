@@ -6,6 +6,15 @@ Gaussian smoothing, and it can be projected onto the sign-symmetric class
 by averaging reflections.  Everything here is pure and safe to call from
 many threads; sampling takes an explicit seed.
 
+Densities, scores and samples of a mixture whose components share one
+covariance come from one vectorised kernel: a single
+(points x dim) @ (dim x components) product on whitened coordinates,
+cached at construction.  That covers every builtin law and every law
+derived from one by :func:`push_forward_linear` or
+:func:`convolve_isotropic`, and :func:`symmetrize` keeps a shared diagonal
+covariance shared.  Mixtures whose covariances differ, even in the last
+bit, fall back to a loop over components.
+
 All log-densities and entropies are in nats.
 """
 
@@ -15,8 +24,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.special import logsumexp
+from scipy.linalg import cho_solve, lapack, solve_triangular
 
 from .errors import (
     DimensionMismatchError,
@@ -37,9 +45,22 @@ _RANK_TOL = 1e-10
 class GaussianMixture:
     """Finite Gaussian mixture with exact log-density, score, and sampling.
 
-    Stores stacked component arrays plus cached Cholesky factors.  Use
-    :func:`make_gaussian_mixture` to build one from ``(weight, mean, cov)``
-    triples with full validation.
+    Stores stacked component arrays plus cached Cholesky factors ``L_k``
+    and log normalizers.  Use :func:`make_gaussian_mixture` to build one
+    from ``(weight, mean, cov)`` triples with full validation.
+
+    When every component has the same covariance ``L L^T`` (checked bit
+    for bit at construction; the module docstring says which laws qualify),
+    the mixture also caches ``W = L^-1``, the weighted mean ``c``, the
+    whitened centred means ``M = (mu - c) W^T`` and one constant per
+    component, ``log w_k - |M_k|^2 / 2 - log norm``.  ``log_density``,
+    ``score`` and ``sample`` then share one kernel: for ``y = (x - c) W^T``
+    the component log-terms are ``y M^T + const - |y|^2 / 2``, one GEMM
+    reduced by a max-shifted log-sum-exp, and the score is
+    ``-(y - R M) W`` with ``R`` the responsibilities of the same pass.
+    Centring on ``c`` keeps the expansion of ``|y - M_k|^2`` accurate for
+    laws far from the origin.  Mixtures whose covariances differ take a
+    per-component loop instead.
     """
 
     def __init__(self, weights, means, covs):
@@ -49,9 +70,26 @@ class GaussianMixture:
         self.dim = self.means.shape[1]
         self.n_components = self.weights.shape[0]
         self._log_weights = np.log(self.weights)
-        self._chol = np.linalg.cholesky(self.covs)
-        log_dets = 2.0 * np.sum(np.log(np.diagonal(self._chol, axis1=1, axis2=2)), axis=1)
-        self._log_norms = 0.5 * log_dets + 0.5 * self.dim * np.log(2.0 * np.pi)
+        half_log_2pi = 0.5 * self.dim * np.log(2.0 * np.pi)
+        if np.all(self.covs == self.covs[0]):
+            chol = np.linalg.cholesky(self.covs[0])
+            self._chol = np.broadcast_to(chol, self.covs.shape)
+            log_norm = float(np.log(chol.diagonal()).sum()) + half_log_2pi
+            self._log_norms = np.full(self.n_components, log_norm)
+            whiten = lapack.dtrtri(chol, lower=1)[0]
+            center = self.weights @ self.means
+            white_means = (self.means - center) @ whiten.T
+            consts = (
+                self._log_weights
+                - 0.5 * np.einsum("ij,ij->i", white_means, white_means)
+                - log_norm
+            )
+            self._shared = (center, whiten, white_means, consts)
+        else:
+            self._chol = np.linalg.cholesky(self.covs)
+            log_diag = np.log(np.diagonal(self._chol, axis1=1, axis2=2))
+            self._log_norms = np.sum(log_diag, axis=1) + half_log_2pi
+            self._shared = None
 
     @property
     def components(self):
@@ -72,29 +110,65 @@ class GaussianMixture:
             )
         return x, single
 
-    def _component_log_density(self, x):
-        out = np.empty((x.shape[0], self.n_components))
-        for k in range(self.n_components):
-            z = solve_triangular(self._chol[k], (x - self.means[k]).T, lower=True)
-            out[:, k] = -0.5 * np.einsum("ij,ij->j", z, z) - self._log_norms[k]
-        return out
+    def _scaled_terms(self, x):
+        # Returns (p, log_scale, y) with p[i, k] * exp(log_scale[i]) equal to
+        # w_k N_k(x_i) and max_k p[i, k] = 1.  p is the only N x K array, and
+        # it is shifted and exponentiated in place.  y is x whitened by the
+        # shared covariance, or None on the per-component path.  On both
+        # paths a non-finite point gives NaN in its own row only.
+        if self._shared is None:
+            y = None
+            p = np.empty((x.shape[0], self.n_components))
+            for k in range(self.n_components):
+                z = solve_triangular(
+                    self._chol[k], (x - self.means[k]).T, lower=True, check_finite=False
+                )
+                p[:, k] = -0.5 * np.einsum("ij,ij->j", z, z)
+            p += self._log_weights - self._log_norms
+            offset = 0.0
+        else:
+            center, whiten, white_means, consts = self._shared
+            y = (x - center) @ whiten.T
+            p = y @ white_means.T
+            p += consts
+            offset = -0.5 * np.einsum("ij,ij->i", y, y)
+        top = p.max(axis=1)
+        p -= top[:, None]
+        np.exp(p, out=p)
+        return p, top + offset, y
+
+    def _posterior(self, x):
+        p, _, y = self._scaled_terms(x)
+        p /= p.sum(axis=1, keepdims=True)
+        return p, y
 
     def log_density(self, x):
-        """Log-density in nats, via log-sum-exp over components."""
+        """Log-density in nats, via a max-shifted log-sum-exp over components."""
         x, single = self._as_batch(x)
-        lse = logsumexp(self._log_weights + self._component_log_density(x), axis=1)
-        return float(lse[0]) if single else lse
+        p, log_scale, _ = self._scaled_terms(x)
+        out = np.log(p.sum(axis=1)) + log_scale
+        return float(out[0]) if single else out
+
+    def responsibilities(self, x):
+        """Posterior component weights ``P(component k | X = x)``, one row per point."""
+        x, single = self._as_batch(x)
+        resp, _ = self._posterior(x)
+        return resp[0] if single else resp
 
     def score(self, x):
         """Gradient of the log-density, from posterior component weights."""
         x, single = self._as_batch(x)
-        log_terms = self._log_weights + self._component_log_density(x)
-        log_total = logsumexp(log_terms, axis=1, keepdims=True)
-        resp = np.exp(log_terms - log_total)
-        out = np.zeros_like(x)
-        for k in range(self.n_components):
-            grad_k = -cho_solve((self._chol[k], True), (x - self.means[k]).T).T
-            out += resp[:, k, None] * grad_k
+        resp, y = self._posterior(x)
+        if y is not None:
+            # -Sigma^-1 (x - sum_k r_k mu_k) = -(y - R M) W in whitened rows
+            _, whiten, white_means, _ = self._shared
+            out = (resp @ white_means - y) @ whiten
+        else:
+            out = np.zeros_like(x)
+            for k in range(self.n_components):
+                diff = (x - self.means[k]).T
+                grad_k = -cho_solve((self._chol[k], True), diff, check_finite=False).T
+                out += resp[:, k, None] * grad_k
         return out[0] if single else out
 
     def sample(self, count, seed):
@@ -105,6 +179,8 @@ class GaussianMixture:
         rng = np.random.default_rng(int(seed))
         comp = rng.choice(self.n_components, size=count, p=self.weights)
         z = rng.standard_normal((count, self.dim))
+        if self._shared is not None:
+            return self.means[comp] + z @ self._chol[0].T
         out = np.empty((count, self.dim))
         for k in range(self.n_components):
             mask = comp == k
@@ -267,22 +343,24 @@ def symmetrize(mix, max_dim=12):
 
 
 def check_symmetry(d, probes=32, seed=0, tol=1e-8):
-    """Compare log f at every sign reflection of sampled probe points.
+    """Compare log f at the single-coordinate sign flips of sampled probes.
 
-    Reports the largest deviation of ``log f(s * x)`` from ``log f(|x|)``
-    over all sign patterns ``s``; a symmetric law shows only rounding noise.
+    Reports the largest deviation of ``log f(S_i x)`` from ``log f(x)`` over
+    the n flips ``S_i`` of one coordinate; a symmetric law shows only
+    rounding noise.  The single flips generate the whole sign group, so
+    invariance under them is invariance under every sign pattern, at a
+    cost of ``probes * (n + 1)`` density evaluations.
     """
     probes = int(probes)
     if probes < 1:
         raise ValueError(f"probes: must be >= 1 (got {probes})")
     n = d.dim
     x = np.asarray(d.sample(probes, seed), dtype=float)
-    patterns = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
-    reflected = np.abs(x)[:, None, :] * patterns[None, :, :]
-    flat = reflected.reshape(-1, n)
-    lf = np.asarray(d.log_density(flat)).reshape(probes, -1)
-    lf_abs = np.asarray(d.log_density(np.abs(x)))
-    max_violation = float(np.max(np.abs(lf - lf_abs[:, None])))
+    flipped = np.repeat(x[None, :, :], n + 1, axis=0)
+    for i in range(n):
+        flipped[i + 1, :, i] *= -1.0
+    lf = np.asarray(d.log_density(flipped.reshape(-1, n))).reshape(n + 1, probes)
+    max_violation = float(np.max(np.abs(lf[1:] - lf[0])))
     return SymmetryReport(max_violation, probes, bool(max_violation <= tol), float(tol))
 
 

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
+from scipy.stats import multivariate_normal
 
 import symentropy as se
-from symentropy.mixtures import ROTATION_2D
+from symentropy.mixtures import ROTATION_2D, GaussianMixture
 
 HALF_LOG_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 
@@ -118,6 +120,124 @@ class TestScoreAndDensity:
             assert batch[i] == pytest.approx(law.log_density(p), abs=1e-14)
 
 
+def _oracle(law, x):
+    """Log-density, responsibilities and score, one scipy call per component."""
+    log_terms = np.column_stack(
+        [
+            np.log(w) + multivariate_normal.logpdf(x, mean=mu, cov=cov)
+            for w, mu, cov in law.components
+        ]
+    ).reshape(x.shape[0], law.n_components)
+    log_f = logsumexp(log_terms, axis=1)
+    resp = np.exp(log_terms - log_f[:, None])
+    score = np.zeros_like(x)
+    for k, (_, mu, cov) in enumerate(law.components):
+        score -= resp[:, k, None] * np.linalg.solve(cov, (x - mu).T).T
+    return log_f, resp, score
+
+
+def _loop_twin(law):
+    """The same law with the shared-covariance cache dropped: runs the loop path."""
+    twin = GaussianMixture(law.weights, law.means, law.covs)
+    twin._shared = None
+    return twin
+
+
+def _shifted(law, offset):
+    return se.make_gaussian_mixture(
+        [(w, mu + offset, cov) for w, mu, cov in law.components]
+    )
+
+
+KERNEL_LAWS = {
+    **{f"bimodal-n{n}": se.bimodal_product(n) for n in range(1, 9)},
+    "gaussian-iid-n3": se.gaussian_iid(3),
+    "rotated-bimodal": se.rotated_bimodal(),
+    "hadamard-push-forward": se.push_forward_linear(
+        se.bimodal_product(4), se.balanced_projection(2, 4, "hadamard").matrix
+    ),
+    "smoothed-bimodal-n3": se.convolve_isotropic(se.bimodal_product(3), 0.7),
+    "offset-1e3": _shifted(se.bimodal_product(2), 1e3),
+    "trimodal-1d": se.trimodal_1d(),
+    "mixed-covariances-2d": se.make_gaussian_mixture(
+        [
+            (0.3, [1.0, -0.5], [[2.0, 0.4], [0.4, 1.0]]),
+            (0.7, [-1.0, 0.5], [[0.5, -0.1], [-0.1, 1.5]]),
+        ]
+    ),
+}
+LOOP_LAWS = {"trimodal-1d", "mixed-covariances-2d"}
+
+
+class TestKernel:
+    @pytest.mark.parametrize("name", sorted(KERNEL_LAWS))
+    def test_matches_per_component_oracle(self, name):
+        law = KERNEL_LAWS[name]
+        assert (law._shared is None) == (name in LOOP_LAWS)
+        x = law.sample(500, 5)
+        center = law.weights @ law.means
+        # far points: the log-sum-exp is dominated by one tiny term
+        x = np.concatenate([x, center + 3.0 * (x - center)])
+        log_f, resp, score = _oracle(law, x)
+
+        def close(got, want):
+            scale = np.maximum(1.0, np.abs(want))
+            assert np.max(np.abs(got - want) / scale) <= 1e-12, name
+
+        close(law.log_density(x), log_f)
+        close(law.responsibilities(x), resp)
+        close(law.score(x), score)
+        # single points take the same kernel as batches
+        close(law.log_density(x[0]), log_f[0])
+        close(law.score(x[0]), score[0])
+
+    def test_builtin_derived_laws_take_shared_path(self):
+        bases = [
+            se.gaussian_iid(1),
+            se.gaussian_iid(4),
+            se.bimodal_1d(),
+            se.bimodal_product(3),
+            se.bimodal_product(8),
+            se.rotated_bimodal(),
+            se.correlated_gaussian(0.5),
+        ]
+        for law in bases:
+            derived = [
+                law,
+                se.convolve_isotropic(law, 0.3),
+                se.push_forward_linear(law, np.ones((1, law.dim)) / math.sqrt(law.dim)),
+                se.push_forward_linear(
+                    law, np.linalg.qr(np.random.default_rng(law.dim).normal(size=(law.dim,) * 2))[0]
+                ),
+            ]
+            if law.dim <= 4 and np.all(law.covs[0] == np.diag(np.diag(law.covs[0]))):
+                derived.append(se.symmetrize(law))
+            for d in derived:
+                assert d._shared is not None, (law, d)
+        # A reflection flips the sign of an off-diagonal entry, so the
+        # reflected covariances differ: genuinely for a correlation, and by
+        # the rounding residue of the 45-degree rotation (~1e-17) for
+        # rotated-bimodal.  Both run the loop path.
+        assert se.symmetrize(se.correlated_gaussian(0.5))._shared is None
+        assert se.symmetrize(se.rotated_bimodal())._shared is None
+
+    @pytest.mark.parametrize("name", ["bimodal-n2", "mixed-covariances-2d"])
+    def test_non_finite_point_spoils_only_its_row(self, name):
+        law = KERNEL_LAWS[name]
+        x = np.array([[np.nan, 0.0], [np.inf, 1.0], [0.5, -0.5]])
+        with np.errstate(invalid="ignore"):
+            log_f, score = law.log_density(x), law.score(x)
+        assert np.all(np.isnan(log_f[:2])) and np.all(np.isnan(score[:2]))
+        assert log_f[2] == pytest.approx(law.log_density(x[2]), abs=1e-14)
+        assert np.allclose(score[2], law.score(x[2]), atol=1e-14)
+
+    @pytest.mark.parametrize("law", [se.bimodal_product(3), se.rotated_bimodal(), se.gaussian_iid(2)])
+    def test_sample_bit_identical_to_loop_path(self, law):
+        twin = _loop_twin(law)
+        for count, seed in [(1, 0), (7, 1), (1000, 2), (70000, 3)]:
+            assert np.array_equal(law.sample(count, seed), twin.sample(count, seed))
+
+
 class TestPushForward:
     def test_rotation_of_standard_normal(self):
         g2 = se.gaussian_iid(2)
@@ -228,6 +348,25 @@ class TestCheckSymmetry:
     def test_probe_validation(self):
         with pytest.raises(ValueError, match="probes"):
             se.check_symmetry(se.gaussian_iid(1), probes=0)
+
+    def test_evaluates_single_flips_only(self):
+        law = se.gaussian_iid(12)
+        seen = []
+
+        def log_density(x):
+            seen.append(np.atleast_2d(x).shape[0])
+            return law.log_density(x)
+
+        counting = se.DensityModel(law.dim, log_density, law.score, law.sample)
+        report = se.check_symmetry(counting, probes=16)
+        assert report.verdict and report.max_violation <= 1e-12
+        assert sum(seen) <= 16 * (12 + 1)
+
+    def test_detects_asymmetry_in_one_coordinate(self):
+        # symmetric in the first two coordinates, shifted in the third
+        law = se.make_gaussian_mixture([(1.0, [0.0, 0.0, 0.5], np.eye(3))])
+        report = se.check_symmetry(law)
+        assert not report.verdict and report.max_violation > 1e-3
 
 
 class TestRotatedIid:

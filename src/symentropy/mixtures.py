@@ -7,10 +7,11 @@ by averaging reflections.  Everything here is pure and safe to call from
 many threads; sampling takes an explicit seed.
 
 Densities, scores and samples of a mixture whose components share one
-covariance come from one vectorised kernel: a single
-(points x dim) @ (dim x components) product on whitened coordinates,
-cached at construction.  That covers every builtin law and every law
-derived from one by :func:`push_forward_linear` or
+covariance come from one vectorised kernel: a
+(points x dim) @ (dim x components) product on whitened coordinates
+cached at construction, taken over blocks of points small enough to stay
+in cache and on the calling thread.  That covers every builtin law and
+every law derived from one by :func:`push_forward_linear` or
 :func:`convolve_isotropic`, and :func:`symmetrize` keeps a shared diagonal
 covariance shared.  Mixtures whose covariances differ, even in the last
 bit, fall back to a loop over components.
@@ -40,6 +41,12 @@ from .errors import (
 _EIG_FLOOR = 1e-12
 _MERGE_DECIMALS = 12
 _RANK_TOL = 1e-10
+# Multiply-adds in one matrix product of the shared-covariance kernel, which
+# works through its points in row blocks of at most this size.  A block's
+# points x components terms then stay in cache, and OpenBLAS runs products
+# this small on the calling thread: larger ones are split over BLAS threads,
+# and their time then swings with whatever else holds the cores.
+_BLOCK_MADDS = 1 << 18
 
 
 class GaussianMixture:
@@ -58,6 +65,8 @@ class GaussianMixture:
     the component log-terms are ``y M^T + const - |y|^2 / 2``, one GEMM
     reduced by a max-shifted log-sum-exp, and the score is
     ``-(y - R M) W`` with ``R`` the responsibilities of the same pass.
+    The kernel runs over row blocks of at most ``_BLOCK_MADDS``
+    multiply-adds per product, reusing one block-sized buffer.
     Centring on ``c`` keeps the expansion of ``|y - M_k|^2`` accurate for
     laws far from the origin.  Mixtures whose covariances differ take a
     per-component loop instead.
@@ -85,6 +94,9 @@ class GaussianMixture:
                 - log_norm
             )
             self._shared = (center, whiten, white_means, consts)
+            self._block_rows = max(
+                1, _BLOCK_MADDS // (self.dim * max(self.dim, self.n_components))
+            )
         else:
             self._chol = np.linalg.cholesky(self.covs)
             log_diag = np.log(np.diagonal(self._chol, axis1=1, axis2=2))
@@ -110,65 +122,84 @@ class GaussianMixture:
             )
         return x, single
 
-    def _scaled_terms(self, x):
-        # Returns (p, log_scale, y) with p[i, k] * exp(log_scale[i]) equal to
-        # w_k N_k(x_i) and max_k p[i, k] = 1.  p is the only N x K array, and
-        # it is shifted and exponentiated in place.  y is x whitened by the
-        # shared covariance, or None on the per-component path.  On both
-        # paths a non-finite point gives NaN in its own row only.
-        if self._shared is None:
-            y = None
-            p = np.empty((x.shape[0], self.n_components))
-            for k in range(self.n_components):
-                z = solve_triangular(
-                    self._chol[k], (x - self.means[k]).T, lower=True, check_finite=False
-                )
-                p[:, k] = -0.5 * np.einsum("ij,ij->j", z, z)
-            p += self._log_weights - self._log_norms
-            offset = 0.0
-        else:
-            center, whiten, white_means, consts = self._shared
-            y = (x - center) @ whiten.T
-            p = y @ white_means.T
+    def _shared_blocks(self, x):
+        # Yields (rows, y, p, top) over row blocks of x on the shared path: y
+        # is x[rows] whitened, and p[i, k] * exp(top[i]) equals
+        # exp(g[i, k]) for the component log-terms g = y M^T + const, with
+        # max_k p[i, k] = 1.  p is one buffer, overwritten block after block.
+        # On both paths a non-finite point gives NaN in its own row only.
+        center, whiten, white_means, consts = self._shared
+        step = self._block_rows
+        buf = np.empty((min(step, x.shape[0]), self.n_components))
+        for start in range(0, x.shape[0], step):
+            rows = slice(start, start + step)
+            y = (x[rows] - center) @ whiten.T
+            p = buf[: y.shape[0]]
+            np.matmul(y, white_means.T, out=p)
             p += consts
-            offset = -0.5 * np.einsum("ij,ij->i", y, y)
+            top = p.max(axis=1)
+            p -= top[:, None]
+            np.exp(p, out=p)
+            yield rows, y, p, top
+
+    def _loop_terms(self, x):
+        # Per-component path: returns (p, top) with p[i, k] * exp(top[i])
+        # equal to w_k N_k(x_i) and max_k p[i, k] = 1.
+        p = np.empty((x.shape[0], self.n_components))
+        for k in range(self.n_components):
+            z = solve_triangular(
+                self._chol[k], (x - self.means[k]).T, lower=True, check_finite=False
+            )
+            p[:, k] = -0.5 * np.einsum("ij,ij->j", z, z)
+        p += self._log_weights - self._log_norms
         top = p.max(axis=1)
         p -= top[:, None]
         np.exp(p, out=p)
-        return p, top + offset, y
-
-    def _posterior(self, x):
-        p, _, y = self._scaled_terms(x)
-        p /= p.sum(axis=1, keepdims=True)
-        return p, y
+        return p, top
 
     def log_density(self, x):
         """Log-density in nats, via a max-shifted log-sum-exp over components."""
         x, single = self._as_batch(x)
-        p, log_scale, _ = self._scaled_terms(x)
-        out = np.log(p.sum(axis=1)) + log_scale
+        if self._shared is None:
+            p, top = self._loop_terms(x)
+            out = np.log(p.sum(axis=1)) + top
+        else:
+            out = np.empty(x.shape[0])
+            for rows, y, p, top in self._shared_blocks(x):
+                log_scale = top - 0.5 * np.einsum("ij,ij->i", y, y)
+                out[rows] = np.log(p.sum(axis=1)) + log_scale
         return float(out[0]) if single else out
 
     def responsibilities(self, x):
         """Posterior component weights ``P(component k | X = x)``, one row per point."""
         x, single = self._as_batch(x)
-        resp, _ = self._posterior(x)
+        if self._shared is None:
+            resp, _ = self._loop_terms(x)
+            resp /= resp.sum(axis=1, keepdims=True)
+        else:
+            resp = np.empty((x.shape[0], self.n_components))
+            for rows, _, p, _ in self._shared_blocks(x):
+                resp[rows] = p / p.sum(axis=1, keepdims=True)
         return resp[0] if single else resp
 
     def score(self, x):
         """Gradient of the log-density, from posterior component weights."""
         x, single = self._as_batch(x)
-        resp, y = self._posterior(x)
-        if y is not None:
-            # -Sigma^-1 (x - sum_k r_k mu_k) = -(y - R M) W in whitened rows
-            _, whiten, white_means, _ = self._shared
-            out = (resp @ white_means - y) @ whiten
-        else:
+        if self._shared is None:
+            resp, _ = self._loop_terms(x)
+            resp /= resp.sum(axis=1, keepdims=True)
             out = np.zeros_like(x)
             for k in range(self.n_components):
                 diff = (x - self.means[k]).T
                 grad_k = -cho_solve((self._chol[k], True), diff, check_finite=False).T
                 out += resp[:, k, None] * grad_k
+        else:
+            # -Sigma^-1 (x - sum_k r_k mu_k) = -(y - R M) W in whitened rows
+            _, whiten, white_means, _ = self._shared
+            out = np.empty_like(x)
+            for rows, y, p, _ in self._shared_blocks(x):
+                p /= p.sum(axis=1, keepdims=True)
+                out[rows] = (p @ white_means - y) @ whiten
         return out[0] if single else out
 
     def sample(self, count, seed):
@@ -180,7 +211,12 @@ class GaussianMixture:
         comp = rng.choice(self.n_components, size=count, p=self.weights)
         z = rng.standard_normal((count, self.dim))
         if self._shared is not None:
-            return self.means[comp] + z @ self._chol[0].T
+            out = self.means[comp]
+            chol_t = self._chol[0].T
+            for start in range(0, count, self._block_rows):
+                rows = slice(start, start + self._block_rows)
+                out[rows] += z[rows] @ chol_t
+            return out
         out = np.empty((count, self.dim))
         for k in range(self.n_components):
             mask = comp == k

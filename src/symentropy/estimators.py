@@ -32,6 +32,7 @@ from .mixtures import GaussianMixture, push_forward_linear
 from .streams import mc_mean, split_seed
 
 _GL_PANEL = 16
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_PANEL)
 _TAIL_BOUND = 1e-12
 _QUAD_FLOOR = 1e-12
 
@@ -165,12 +166,11 @@ def _neg_f_log_f(d, x):
 
 
 def _panel_integral(d, radius, panels):
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_PANEL)
     edges = np.linspace(-radius, radius, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
+    x = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return float(w @ _neg_f_log_f(d, x))
 
 

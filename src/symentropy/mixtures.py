@@ -8,13 +8,14 @@ many threads; sampling takes an explicit seed.
 
 Densities, scores and samples of a mixture whose components share one
 covariance come from one vectorised kernel: a
-(points x dim) @ (dim x components) product on whitened coordinates
-cached at construction, taken over blocks of points small enough to stay
-in cache and on the calling thread.  That covers every builtin law and
-every law derived from one by :func:`push_forward_linear` or
-:func:`convolve_isotropic`, and :func:`symmetrize` keeps a shared diagonal
-covariance shared.  Mixtures whose covariances differ, even in the last
-bit, fall back to a loop over components.
+(components x dim) @ (dim x points) product on whitened coordinates
+cached at construction, reduced over components with whole-row vector
+operations, and taken over blocks of points small enough to stay in
+cache and on the calling thread.  That covers every builtin law and
+every law derived from one by :func:`push_forward_linear`,
+:func:`convolve_isotropic` or :func:`symmetrize`.  Mixtures whose
+covariances differ, even in the last bit, fall back to a loop over
+components.
 
 All log-densities and entropies are in nats.
 """
@@ -61,12 +62,16 @@ class GaussianMixture:
     the mixture also caches ``W = L^-1``, the weighted mean ``c``, the
     whitened centred means ``M = (mu - c) W^T`` and one constant per
     component, ``log w_k - |M_k|^2 / 2 - log norm``.  ``log_density``,
-    ``score`` and ``sample`` then share one kernel: for ``y = (x - c) W^T``
-    the component log-terms are ``y M^T + const - |y|^2 / 2``, one GEMM
-    reduced by a max-shifted log-sum-exp, and the score is
-    ``-(y - R M) W`` with ``R`` the responsibilities of the same pass.
-    The kernel runs over row blocks of at most ``_BLOCK_MADDS``
-    multiply-adds per product, reusing one block-sized buffer.
+    ``score`` and ``responsibilities`` then share one kernel, stored
+    components-major: for ``yt = W (x - c)^T``, one column per point, the
+    component log-terms are ``M yt + const - |yt|^2 / 2``, one GEMM
+    reduced over its K rows by a max-shifted log-sum-exp, so each step of
+    the reduction is one vector operation over all points of a block.  The
+    score is ``((M^T p) / sum_k p - yt)^T W`` for the shifted exponentials
+    ``p`` of the same pass.  The kernel runs over row blocks of at most
+    ``_BLOCK_MADDS`` multiply-adds per product, reusing one block-sized
+    buffer, and ``sample`` adds ``z L^T`` to the drawn means in blocks of
+    the same product size.
     Centring on ``c`` keeps the expansion of ``|y - M_k|^2`` accurate for
     laws far from the origin.  Mixtures whose covariances differ take a
     per-component loop instead.
@@ -92,7 +97,7 @@ class GaussianMixture:
                 self._log_weights
                 - 0.5 * np.einsum("ij,ij->i", white_means, white_means)
                 - log_norm
-            )
+            )[:, None]
             self._shared = (center, whiten, white_means, consts)
             self._block_rows = max(
                 1, _BLOCK_MADDS // (self.dim * max(self.dim, self.n_components))
@@ -123,24 +128,26 @@ class GaussianMixture:
         return x, single
 
     def _shared_blocks(self, x):
-        # Yields (rows, y, p, top) over row blocks of x on the shared path: y
-        # is x[rows] whitened, and p[i, k] * exp(top[i]) equals
-        # exp(g[i, k]) for the component log-terms g = y M^T + const, with
-        # max_k p[i, k] = 1.  p is one buffer, overwritten block after block.
-        # On both paths a non-finite point gives NaN in its own row only.
+        # Yields (rows, yt, p, top) over row blocks of x on the shared path,
+        # components-major: yt = W (x[rows] - c)^T has one column per point,
+        # and p[k, i] * exp(top[i]) equals exp(g[k, i]) for the component
+        # log-terms g = M yt + const, with max_k p[k, i] = 1.  Reductions
+        # over k then run as K - 1 elementwise passes over whole rows of p.
+        # p is one buffer, overwritten block after block.  On both paths a
+        # non-finite point gives NaN for its own point only.
         center, whiten, white_means, consts = self._shared
         step = self._block_rows
-        buf = np.empty((min(step, x.shape[0]), self.n_components))
+        buf = np.empty(self.n_components * min(step, x.shape[0]))
         for start in range(0, x.shape[0], step):
             rows = slice(start, start + step)
-            y = (x[rows] - center) @ whiten.T
-            p = buf[: y.shape[0]]
-            np.matmul(y, white_means.T, out=p)
+            yt = whiten @ (x[rows] - center).T
+            p = buf[: self.n_components * yt.shape[1]].reshape(self.n_components, -1)
+            np.matmul(white_means, yt, out=p)
             p += consts
-            top = p.max(axis=1)
-            p -= top[:, None]
+            top = p.max(axis=0)
+            p -= top
             np.exp(p, out=p)
-            yield rows, y, p, top
+            yield rows, yt, p, top
 
     def _loop_terms(self, x):
         # Per-component path: returns (p, top) with p[i, k] * exp(top[i])
@@ -165,9 +172,9 @@ class GaussianMixture:
             out = np.log(p.sum(axis=1)) + top
         else:
             out = np.empty(x.shape[0])
-            for rows, y, p, top in self._shared_blocks(x):
-                log_scale = top - 0.5 * np.einsum("ij,ij->i", y, y)
-                out[rows] = np.log(p.sum(axis=1)) + log_scale
+            for rows, yt, p, top in self._shared_blocks(x):
+                log_scale = top - 0.5 * np.einsum("ij,ij->j", yt, yt)
+                out[rows] = np.log(p.sum(axis=0)) + log_scale
         return float(out[0]) if single else out
 
     def responsibilities(self, x):
@@ -179,7 +186,7 @@ class GaussianMixture:
         else:
             resp = np.empty((x.shape[0], self.n_components))
             for rows, _, p, _ in self._shared_blocks(x):
-                resp[rows] = p / p.sum(axis=1, keepdims=True)
+                resp[rows] = (p / p.sum(axis=0)).T
         return resp[0] if single else resp
 
     def score(self, x):
@@ -194,12 +201,11 @@ class GaussianMixture:
                 grad_k = -cho_solve((self._chol[k], True), diff, check_finite=False).T
                 out += resp[:, k, None] * grad_k
         else:
-            # -Sigma^-1 (x - sum_k r_k mu_k) = -(y - R M) W in whitened rows
+            # -Sigma^-1 (x - sum_k r_k mu_k) = ((M^T p) / sum_k p - yt)^T W
             _, whiten, white_means, _ = self._shared
             out = np.empty_like(x)
-            for rows, y, p, _ in self._shared_blocks(x):
-                p /= p.sum(axis=1, keepdims=True)
-                out[rows] = (p @ white_means - y) @ whiten
+            for rows, yt, p, _ in self._shared_blocks(x):
+                out[rows] = ((white_means.T @ p) / p.sum(axis=0) - yt).T @ whiten
         return out[0] if single else out
 
     def sample(self, count, seed):
@@ -213,8 +219,9 @@ class GaussianMixture:
         if self._shared is not None:
             out = self.means[comp]
             chol_t = self._chol[0].T
-            for start in range(0, count, self._block_rows):
-                rows = slice(start, start + self._block_rows)
+            step = max(1, _BLOCK_MADDS // (self.dim * self.dim))
+            for start in range(0, count, step):
+                rows = slice(start, start + step)
                 out[rows] += z[rows] @ chol_t
             return out
         out = np.empty((count, self.dim))
@@ -342,11 +349,9 @@ def convolve_isotropic(mix, t):
     return GaussianMixture(mix.weights.copy(), mix.means.copy(), mix.covs + eye)
 
 
-def _merge_key(mean, cov):
-    mean = np.round(mean + 0.0, _MERGE_DECIMALS)
-    cov = np.round(cov + 0.0, _MERGE_DECIMALS)
+def _rounded(a):
     # +0.0 turns -0.0 into +0.0 so reflected zeros fingerprint identically
-    return tuple(mean.tolist()) + tuple(cov.ravel().tolist())
+    return tuple(np.round(a + 0.0, _MERGE_DECIMALS).ravel().tolist())
 
 
 def symmetrize(mix, max_dim=12):
@@ -354,8 +359,10 @@ def symmetrize(mix, max_dim=12):
 
     Averages the 2^n coordinate sign reflections of every component and
     merges reflected duplicates by (mean, cov) fingerprint, so symmetric
-    inputs are fixed points.  Guarded to n <= 12 because the component
-    count multiplies by up to 2^n.
+    inputs are fixed points.  Reflected covariances with the same rounded
+    fingerprint share the first such array, so rounding residues do not
+    keep the output off the shared-covariance kernel.  Guarded to n <= 12
+    because the component count multiplies by up to 2^n.
     """
     n = mix.dim
     if n > max_dim:
@@ -363,13 +370,16 @@ def symmetrize(mix, max_dim=12):
             f"dim {n} > {max_dim}: reflection count 2^n is too large"
         )
     merged = {}
+    covs = {}
     scale = 1.0 / (1 << n)
     for w, mu, cov in zip(mix.weights, mix.means, mix.covs):
         for signs in itertools.product((1.0, -1.0), repeat=n):
             s = np.asarray(signs)
             mean_r = s * mu
             cov_r = cov * np.outer(s, s)
-            key = _merge_key(mean_r, cov_r)
+            cov_key = _rounded(cov_r)
+            cov_r = covs.setdefault(cov_key, cov_r)
+            key = _rounded(mean_r) + cov_key
             if key in merged:
                 merged[key][0] += w * scale
             else:

@@ -102,15 +102,13 @@ class TestScoreAndDensity:
 
     @settings(max_examples=15, deadline=None)
     @given(small_mixtures())
-    def test_density_integrates_to_one(self, law):
-        # importance check against an overdispersed Gaussian envelope
-        cov = law.covariance() + 1e-6 * np.eye(law.dim)
-        mean = law.weights @ law.means
-        envelope = se.make_gaussian_mixture([(1.0, mean, 2.0 * cov)])
-        x = envelope.sample(20000, 17)
-        ratio = np.exp(law.log_density(x) - envelope.log_density(x))
-        stderr = ratio.std(ddof=1) / math.sqrt(x.shape[0])
-        assert abs(ratio.mean() - 1.0) <= 3 * stderr + 1e-9
+    def test_log_density_matches_normalised_oracle(self, law):
+        # scipy's per-component densities are normalised, so agreement with
+        # them also checks that the mixture density integrates to one
+        x = law.sample(2000, 17)
+        center = law.weights @ law.means
+        x = np.concatenate([x, center + 3.0 * (x - center)])
+        _assert_close(law.log_density(x), _oracle(law, x)[0], law)
 
     def test_batch_matches_single_point(self):
         law = se.bimodal_product(2)
@@ -153,6 +151,7 @@ KERNEL_LAWS = {
     **{f"bimodal-n{n}": se.bimodal_product(n) for n in range(1, 9)},
     "gaussian-iid-n3": se.gaussian_iid(3),
     "rotated-bimodal": se.rotated_bimodal(),
+    "symmetrized-rotated-bimodal": se.symmetrize(se.rotated_bimodal()),
     "hadamard-push-forward": se.push_forward_linear(
         se.bimodal_product(4), se.balanced_projection(2, 4, "hadamard").matrix
     ),
@@ -169,6 +168,11 @@ KERNEL_LAWS = {
 LOOP_LAWS = {"trimodal-1d", "mixed-covariances-2d"}
 
 
+def _assert_close(got, want, name):
+    scale = np.maximum(1.0, np.abs(want))
+    assert np.max(np.abs(got - want) / scale) <= 1e-12, name
+
+
 class TestKernel:
     @pytest.mark.parametrize("name", sorted(KERNEL_LAWS))
     def test_matches_per_component_oracle(self, name):
@@ -179,17 +183,24 @@ class TestKernel:
         # far points: the log-sum-exp is dominated by one tiny term
         x = np.concatenate([x, center + 3.0 * (x - center)])
         log_f, resp, score = _oracle(law, x)
-
-        def close(got, want):
-            scale = np.maximum(1.0, np.abs(want))
-            assert np.max(np.abs(got - want) / scale) <= 1e-12, name
-
-        close(law.log_density(x), log_f)
-        close(law.responsibilities(x), resp)
-        close(law.score(x), score)
+        _assert_close(law.log_density(x), log_f, name)
+        _assert_close(law.responsibilities(x), resp, name)
+        _assert_close(law.score(x), score, name)
         # single points take the same kernel as batches
-        close(law.log_density(x[0]), log_f[0])
-        close(law.score(x[0]), score[0])
+        _assert_close(law.log_density(x[0]), log_f[0], name)
+        _assert_close(law.score(x[0]), score[0], name)
+
+    @pytest.mark.parametrize("name", ["bimodal-n3", "gaussian-iid-n3"])
+    def test_matches_oracle_across_block_boundaries(self, name):
+        law = KERNEL_LAWS[name]
+        x = law.sample(2 * law._block_rows + 1, 6)
+        log_f, resp, score = _oracle(law, x)
+        _assert_close(law.log_density(x), log_f, name)
+        got_resp = law.responsibilities(x)
+        assert got_resp.shape == (x.shape[0], law.n_components)
+        assert np.allclose(got_resp.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        _assert_close(got_resp, resp, name)
+        _assert_close(law.score(x), score, name)
 
     def test_builtin_derived_laws_take_shared_path(self):
         bases = [
@@ -214,12 +225,13 @@ class TestKernel:
                 derived.append(se.symmetrize(law))
             for d in derived:
                 assert d._shared is not None, (law, d)
-        # A reflection flips the sign of an off-diagonal entry, so the
-        # reflected covariances differ: genuinely for a correlation, and by
-        # the rounding residue of the 45-degree rotation (~1e-17) for
-        # rotated-bimodal.  Both run the loop path.
+        # A reflection flips the sign of an off-diagonal entry.  For a
+        # correlation the reflected covariances genuinely differ and run the
+        # loop path; for rotated-bimodal they differ only by the rounding
+        # residue of the 45-degree rotation (~1e-17), round to one merge key
+        # and share one array.
         assert se.symmetrize(se.correlated_gaussian(0.5))._shared is None
-        assert se.symmetrize(se.rotated_bimodal())._shared is None
+        assert se.symmetrize(se.rotated_bimodal())._shared is not None
 
     @pytest.mark.parametrize("name", ["bimodal-n2", "mixed-covariances-2d"])
     def test_non_finite_point_spoils_only_its_row(self, name):

@@ -37,17 +37,6 @@ from .mixtures import law_fingerprint, mixture_from_json
 
 _PASSING = (HOLDS, HOLDS_WITH_EQUALITY)
 
-_COMMANDS = (
-    "verify",
-    "equality-demo",
-    "probe",
-    "kdim",
-    "debruijn",
-    "scan",
-    "counterexample",
-    "calibrate",
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -55,9 +44,9 @@ class RunConfig:
 
     command: str
     law_path: str | None = None
-    seed: int = 0
-    samples: int = 200_000
-    tol_sigma: float = 3.0
+    seed: int = Budget.seed
+    samples: int = Budget.samples
+    tol_sigma: float = Budget.tol_sigma
     out_format: str = "json"
     out_path: str | None = None
     resolution: int = 90
@@ -68,7 +57,9 @@ class RunConfig:
 
     def __post_init__(self):
         if self.command not in _COMMANDS:
-            raise ConfigError(f"command: expected one of {_COMMANDS} (got {self.command!r})")
+            raise ConfigError(
+                f"command: expected one of {tuple(_COMMANDS)} (got {self.command!r})"
+            )
         if self.samples < 100:
             raise ConfigError(f"samples: must be >= 100 (got {self.samples})")
         if self.tol_sigma <= 0:
@@ -93,13 +84,19 @@ def _load_law(source):
             return builtin_law(source[len("builtin:"):])
         except KeyError as exc:
             raise ConfigError(exc.args[0]) from exc
+        except SymentropyError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"law: {exc}") from exc
     if not os.path.exists(source):
         raise ConfigError(f"law: file not found: {source}")
-    with open(source, "r", encoding="ascii") as fh:
-        try:
+    try:
+        with open(source, "r", encoding="ascii") as fh:
             return mixture_from_json(fh.read())
-        except (SymentropyError, KeyError, ValueError) as exc:
-            raise ConfigError(f"law: cannot parse mixture file {source}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"law: cannot read mixture file {source}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"law: cannot parse mixture file {source}: {exc}") from exc
 
 
 def _canonical_json(obj):
@@ -171,11 +168,10 @@ def _gaussian_battery(samples, seed, nodes):
 
 
 def calibrate(config):
-    """Run the Gaussian calibration battery; exit 0 iff max |z| <= tol_sigma."""
+    """Run the Gaussian calibration battery; it passes iff max |z| <= tol_sigma."""
     entries = _gaussian_battery(config.samples, config.seed, config.nodes)
     max_z = max(e["z"] for e in entries)
     report = {
-        "command": "calibrate",
         "seed": config.seed,
         "budget": config.samples,
         "tol_sigma": config.tol_sigma,
@@ -183,190 +179,177 @@ def calibrate(config):
         "max_abs_z": max_z,
         "verdict": "pass" if max_z <= config.tol_sigma else "fail",
     }
-    _emit(config, _canonical_json(report))
-    return 0 if max_z <= config.tol_sigma else 1
+    return report, max_z <= config.tol_sigma
+
+
+def _verify(config):
+    return _statement(verify_main(_load_law(config.law_path), _budget(config)))
+
+
+def _statement(report, **extra):
+    return {**report.to_json_dict(), **extra}, report.verdict in _PASSING
+
+
+def _equality_demo(config):
+    law = _load_law(config.law_path)
+    if law.dim != 1:
+        raise ConfigError(f"law: equality-demo needs a 1-D base law (got dim {law.dim})")
+    report = equality_demo_n2(law, _budget(config))
+    payload = {
+        "gap": report.gap,
+        "sigma": report.sigma,
+        "verdict": report.verdict,
+        "independence_ok": report.independence.verdict,
+        "coordinate_symmetry_ok": report.coordinate_symmetry.verdict,
+        "law_fingerprint": report.law_fingerprint,
+        "seed": report.seed,
+        "budget": report.budget,
+    }
+    ok = (
+        report.verdict == HOLDS_WITH_EQUALITY
+        and report.independence.verdict
+        and report.coordinate_symmetry.verdict
+    )
+    return payload, ok
+
+
+def _probe(config):
+    report = gaussianity_probe(_load_law(config.law_path), _budget(config))
+    payload = {
+        "main": report.main.to_json_dict(),
+        "independence_failures": list(report.independence_failures),
+        "evidence": [
+            {
+                "basis_index": e.basis_index,
+                "mixed_partial_max": e.mixed_partial.max_abs,
+                "mixed_partial_ok": e.mixed_partial.verdict,
+                "max_cross_z": e.max_cross_z,
+            }
+            for e in report.evidence
+        ],
+    }
+    return payload, report.main.verdict in _PASSING
+
+
+def _kdim(config):
+    law = _load_law(config.law_path)
+    if config.k is None or config.n is None:
+        raise ConfigError("k/n: kdim requires --k and --n (1 <= k <= n)")
+    if law.dim != config.n:
+        raise ConfigError(f"n: law has dimension {law.dim}, projection expects n={config.n}")
+    try:
+        projection = balanced_projection(config.k, config.n, config.method)
+    except SymentropyError as exc:
+        raise ConfigError(str(exc)) from exc
+    return _statement(verify_kdim(law, projection, _budget(config)), method=config.method)
+
+
+def _debruijn(config):
+    law = _load_law(config.law_path)
+    est = entropy_via_debruijn(law, nodes=config.nodes, count=config.samples, seed=config.seed)
+    payload = {
+        "estimate": est.to_json_dict(),
+        "law_fingerprint": law_fingerprint(law),
+        "seed": config.seed,
+        "budget": config.samples,
+        "nodes": config.nodes,
+    }
+    if law.dim != 1:
+        return payload, True
+    reference = entropy_quadrature_1d(law)
+    z_den = math.hypot(est.stderr, reference.stderr)
+    z = abs(est.value - reference.value) / z_den if z_den > 0 else math.inf
+    payload["reference_quadrature"] = reference.to_json_dict()
+    payload["z"] = z
+    return payload, z <= config.tol_sigma
+
+
+def _scan(config):
+    law = _load_law(config.law_path)
+    report = direction_scan(law, resolution=config.resolution, budget=_budget(config))
+    ok = all(r.margin >= -config.tol_sigma * r.stderr for r in report.rows)
+    if config.out_format == "csv":
+        return report.to_csv(), ok
+    payload = {
+        "rows": [
+            {
+                "direction": list(r.direction),
+                "entropy": r.entropy,
+                "stderr": r.stderr,
+                "bound": r.bound,
+                "margin": r.margin,
+            }
+            for r in report.rows
+        ],
+        "argmax_direction": list(report.argmax_direction),
+        "law_fingerprint": report.law_fingerprint,
+        "seed": report.seed,
+        "budget": config.samples,
+    }
+    return payload, ok
+
+
+def _counterexample(config):
+    report = asymmetric_counterexample()
+    return report.to_json_dict(), report.verdict == VIOLATED
+
+
+# Each handler returns (JSON payload or CSV text, whether the verdicts pass).
+# ``calibrate`` is looked up at call time so that a patched module attribute
+# is the one that runs.
+_COMMANDS = {
+    "verify": _verify,
+    "equality-demo": _equality_demo,
+    "probe": _probe,
+    "kdim": _kdim,
+    "debruijn": _debruijn,
+    "scan": _scan,
+    "counterexample": _counterexample,
+    "calibrate": lambda config: calibrate(config),
+}
 
 
 def run(config):
     """Execute one batch command; returns the process exit status."""
-    budget = _budget(config)
-
-    if config.command == "calibrate":
-        return calibrate(config)
-
-    if config.command == "counterexample":
-        report = asymmetric_counterexample()
-        payload = report.to_json_dict()
-        payload["command"] = "counterexample"
-        _emit(config, _canonical_json(payload))
-        return 0 if report.verdict == VIOLATED else 1
-
-    law = _load_law(config.law_path)
-
-    if config.command == "verify":
-        report = verify_main(law, budget)
-        payload = report.to_json_dict()
-        payload["command"] = "verify"
-        _emit(config, _canonical_json(payload))
-        return 0 if report.verdict in _PASSING else 1
-
-    if config.command == "equality-demo":
-        if law.dim != 1:
-            raise ConfigError(f"law: equality-demo needs a 1-D base law (got dim {law.dim})")
-        report = equality_demo_n2(law, budget)
-        payload = {
-            "command": "equality-demo",
-            "gap": report.gap,
-            "sigma": report.sigma,
-            "verdict": report.verdict,
-            "independence_ok": report.independence.verdict,
-            "coordinate_symmetry_ok": report.coordinate_symmetry.verdict,
-            "law_fingerprint": report.law_fingerprint,
-            "seed": report.seed,
-            "budget": report.budget,
-        }
-        _emit(config, _canonical_json(payload))
-        ok = (
-            report.verdict == HOLDS_WITH_EQUALITY
-            and report.independence.verdict
-            and report.coordinate_symmetry.verdict
-        )
-        return 0 if ok else 1
-
-    if config.command == "probe":
-        report = gaussianity_probe(law, budget)
-        payload = {
-            "command": "probe",
-            "main": report.main.to_json_dict(),
-            "independence_failures": list(report.independence_failures),
-            "evidence": [
-                {
-                    "basis_index": e.basis_index,
-                    "mixed_partial_max": e.mixed_partial.max_abs,
-                    "mixed_partial_ok": e.mixed_partial.verdict,
-                    "max_cross_z": e.max_cross_z,
-                }
-                for e in report.evidence
-            ],
-        }
-        _emit(config, _canonical_json(payload))
-        return 0 if report.main.verdict in _PASSING else 1
-
-    if config.command == "kdim":
-        if config.k is None or config.n is None:
-            raise ConfigError("k/n: kdim requires --k and --n (1 <= k <= n)")
-        if law.dim != config.n:
-            raise ConfigError(
-                f"n: law has dimension {law.dim}, projection expects n={config.n}"
-            )
-        try:
-            projection = balanced_projection(config.k, config.n, config.method)
-        except SymentropyError as exc:
-            raise ConfigError(str(exc)) from exc
-        report = verify_kdim(law, projection, budget)
-        payload = report.to_json_dict()
-        payload["command"] = "kdim"
-        payload["method"] = config.method
-        _emit(config, _canonical_json(payload))
-        return 0 if report.verdict in _PASSING else 1
-
-    if config.command == "debruijn":
-        est = entropy_via_debruijn(law, nodes=config.nodes, count=config.samples, seed=config.seed)
-        payload = {
-            "command": "debruijn",
-            "estimate": est.to_json_dict(),
-            "law_fingerprint": law_fingerprint(law),
-            "seed": config.seed,
-            "budget": config.samples,
-            "nodes": config.nodes,
-        }
-        status = 0
-        if law.dim == 1:
-            reference = entropy_quadrature_1d(law)
-            z_den = math.hypot(est.stderr, reference.stderr)
-            z = abs(est.value - reference.value) / z_den if z_den > 0 else math.inf
-            payload["reference_quadrature"] = reference.to_json_dict()
-            payload["z"] = z
-            status = 0 if z <= config.tol_sigma else 1
-        _emit(config, _canonical_json(payload))
-        return status
-
-    if config.command == "scan":
-        report = direction_scan(law, resolution=config.resolution, budget=budget)
-        if config.out_format == "csv":
-            _emit(config, report.to_csv())
-        else:
-            payload = {
-                "command": "scan",
-                "rows": [
-                    {
-                        "direction": list(r.direction),
-                        "entropy": r.entropy,
-                        "stderr": r.stderr,
-                        "bound": r.bound,
-                        "margin": r.margin,
-                    }
-                    for r in report.rows
-                ],
-                "argmax_direction": list(report.argmax_direction),
-                "law_fingerprint": report.law_fingerprint,
-                "seed": report.seed,
-                "budget": config.samples,
-            }
-            _emit(config, _canonical_json(payload))
-        ok = all(r.margin >= -config.tol_sigma * r.stderr for r in report.rows)
-        return 0 if ok else 1
-
-    raise ConfigError(f"command: unhandled command {config.command!r}")
+    report, passed = _COMMANDS[config.command](config)
+    if isinstance(report, dict):
+        report = _canonical_json({**report, "command": config.command})
+    _emit(config, report)
+    return 0 if passed else 1
 
 
 def _build_parser():
+    # No option holds a default: one that is not given falls through to RunConfig.
     parser = argparse.ArgumentParser(
         prog="symentropy",
         description="Verify entropy lower bounds for symmetric random vectors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--law", default=None, help="builtin:NAME or mixture JSON path")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=200_000)
-        p.add_argument("--tol-sigma", type=float, default=3.0)
-        p.add_argument("--out", default=None, help="report file (atomic write)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--resolution", type=int, default=90)
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--method", choices=("hadamard", "frequency_pairs"), default="hadamard")
-        p.add_argument("--nodes", type=int, default=48)
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument(
+            "--law", dest="law_path", metavar="LAW", help="builtin:NAME or mixture JSON path"
+        )
+        p.add_argument("--seed", type=int)
+        p.add_argument("--samples", type=int)
+        p.add_argument("--tol-sigma", type=float)
+        p.add_argument("--out", dest="out_path", metavar="OUT", help="report file (atomic write)")
+        p.add_argument("--format", dest="out_format", choices=("json", "csv"))
+        p.add_argument("--resolution", type=int)
+        p.add_argument("--k", type=int)
+        p.add_argument("--n", type=int)
+        p.add_argument("--method", choices=("hadamard", "frequency_pairs"))
+        p.add_argument("--nodes", type=int)
     return parser
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            law_path=args.law,
-            seed=args.seed,
-            samples=args.samples,
-            tol_sigma=args.tol_sigma,
-            out_format=args.format,
-            out_path=args.out,
-            resolution=args.resolution,
-            k=args.k,
-            n=args.n,
-            method=args.method,
-            nodes=args.nodes,
-        )
-        status = run(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return run(RunConfig(**vars(args)))
     except SymentropyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return status
 
 
 if __name__ == "__main__":

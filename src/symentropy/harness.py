@@ -93,7 +93,7 @@ class InequalityReport:
 
 
 def _verdict(margin, sigma, tol_sigma):
-    if not np.isfinite(sigma) or not np.isfinite(margin):
+    if not np.isfinite(sigma) or np.isnan(margin):
         return INCONCLUSIVE
     band = tol_sigma * sigma
     if margin > band:
@@ -103,6 +103,24 @@ def _verdict(margin, sigma, tol_sigma):
     return VIOLATED
 
 
+def _inequality(statement, lhs, rhs, sigma, mix, budget, direction=1, notes=()):
+    """Report ``gap = lhs - rhs`` with the verdict on ``direction * gap``."""
+    gap = lhs.value - rhs
+    return InequalityReport(
+        statement=statement,
+        lhs=lhs,
+        rhs=rhs,
+        gap=gap,
+        sigma=sigma,
+        verdict=_verdict(direction * gap, sigma, budget.tol_sigma),
+        law_fingerprint=law_fingerprint(mix),
+        seed=budget.seed,
+        budget=budget.samples,
+        direction=direction,
+        notes=notes,
+    )
+
+
 def _require_symmetric(mix, seed):
     report = check_symmetry(mix, probes=_SYMMETRY_PROBES, seed=seed, tol=_SYMMETRY_TOL)
     if not report.verdict:
@@ -110,6 +128,14 @@ def _require_symmetric(mix, seed):
             f"law violates coordinate-sign symmetry by {report.max_violation:.3e}; "
             "use asymmetric_counterexample for laws outside the symmetric class"
         )
+
+
+def _directional_bound(h_x, a):
+    """h(X)/n + log(n^{n/2} prod_i |a_i|); -inf when ``a`` has a zero entry."""
+    n = a.size
+    if np.any(np.abs(a) < 1e-15):
+        return float("-inf")
+    return h_x / n + 0.5 * n * math.log(n) + float(np.sum(np.log(np.abs(a))))
 
 
 def _ones_direction(n):
@@ -122,20 +148,8 @@ def verify_main(mix, budget=Budget()):
     n = mix.dim
     lhs = projection_entropy(mix, _ones_direction(n))
     hx = entropy_mc(mix, budget.samples, budget.seed)
-    rhs = hx.value / n
-    gap = lhs.value - rhs
     sigma = math.hypot(lhs.stderr, hx.stderr / n)
-    return InequalityReport(
-        statement="thm_main",
-        lhs=lhs,
-        rhs=rhs,
-        gap=gap,
-        sigma=sigma,
-        verdict=_verdict(gap, sigma, budget.tol_sigma),
-        law_fingerprint=law_fingerprint(mix),
-        seed=budget.seed,
-        budget=budget.samples,
-    )
+    return _inequality("thm_main", lhs, hx.value / n, sigma, mix, budget)
 
 
 def verify_directional(mix, a, budget=Budget()):
@@ -154,37 +168,12 @@ def verify_directional(mix, a, budget=Budget()):
     n = mix.dim
     lhs = projection_entropy(mix, a)
     hx = entropy_mc(mix, budget.samples, budget.seed)
+    rhs = _directional_bound(hx.value, a)
     notes = ("sign_convention=prod|a_i| (sign flips of a preserve the law of a.X)",)
-    if np.any(np.abs(a) < 1e-15):
-        rhs = float("-inf")
-        return InequalityReport(
-            statement="corollary",
-            lhs=lhs,
-            rhs=rhs,
-            gap=float("inf"),
-            sigma=math.hypot(lhs.stderr, hx.stderr / n),
-            verdict=HOLDS,
-            law_fingerprint=law_fingerprint(mix),
-            seed=budget.seed,
-            budget=budget.samples,
-            notes=notes + ("trivial_true=zero coordinate in a",),
-        )
-    log_term = 0.5 * n * math.log(n) + float(np.sum(np.log(np.abs(a))))
-    rhs = hx.value / n + log_term
-    gap = lhs.value - rhs
+    if rhs == float("-inf"):
+        notes += ("trivial_true=zero coordinate in a",)
     sigma = math.hypot(lhs.stderr, hx.stderr / n)
-    return InequalityReport(
-        statement="corollary",
-        lhs=lhs,
-        rhs=rhs,
-        gap=gap,
-        sigma=sigma,
-        verdict=_verdict(gap, sigma, budget.tol_sigma),
-        law_fingerprint=law_fingerprint(mix),
-        seed=budget.seed,
-        budget=budget.samples,
-        notes=notes,
-    )
+    return _inequality("corollary", lhs, rhs, sigma, mix, budget, notes=notes)
 
 
 def verify_kdim(mix, projection, budget=Budget()):
@@ -201,21 +190,9 @@ def verify_kdim(mix, projection, budget=Budget()):
     k, n = matrix.shape
     lhs = entropy_mc(push_forward_linear(mix, matrix), budget.samples, budget.seed)
     hx = entropy_mc(mix, budget.samples, budget.seed)
-    rhs = (k / n) * hx.value
-    gap = lhs.value - rhs
     sigma = math.hypot(lhs.stderr, (k / n) * hx.stderr)
-    return InequalityReport(
-        statement="thm_kdim",
-        lhs=lhs,
-        rhs=rhs,
-        gap=gap,
-        sigma=sigma,
-        verdict=_verdict(gap, sigma, budget.tol_sigma),
-        law_fingerprint=law_fingerprint(mix),
-        seed=budget.seed,
-        budget=budget.samples,
-        notes=(f"projection_shape={k}x{n}",),
-    )
+    notes = (f"projection_shape={k}x{n}",)
+    return _inequality("thm_kdim", lhs, (k / n) * hx.value, sigma, mix, budget, notes=notes)
 
 
 def verify_fisher_lemma(mix, budget=Budget()):
@@ -225,21 +202,8 @@ def verify_fisher_lemma(mix, budget=Budget()):
     y_mix = push_forward_linear(mix, _ones_direction(n)[None, :])
     lhs = fisher_mc(y_mix, budget.samples, budget.seed)
     fx = fisher_mc(mix, budget.samples, budget.seed)
-    rhs = fx.value / n
-    gap = lhs.value - rhs
     sigma = math.hypot(lhs.stderr, fx.stderr / n)
-    return InequalityReport(
-        statement="fisher_lemma",
-        lhs=lhs,
-        rhs=rhs,
-        gap=gap,
-        sigma=sigma,
-        verdict=_verdict(-gap, sigma, budget.tol_sigma),
-        law_fingerprint=law_fingerprint(mix),
-        seed=budget.seed,
-        budget=budget.samples,
-        direction=-1,
-    )
+    return _inequality("fisher_lemma", lhs, fx.value / n, sigma, mix, budget, direction=-1)
 
 
 @dataclass(frozen=True)
@@ -412,10 +376,7 @@ def direction_scan(mix, resolution=90, budget=Budget()):
     for a in _scan_directions(n, resolution):
         a = a / np.linalg.norm(a)
         est = projection_entropy(mix, a)
-        if np.any(np.abs(a) < 1e-15):
-            bound = float("-inf")
-        else:
-            bound = hx.value / n + 0.5 * n * math.log(n) + float(np.sum(np.log(np.abs(a))))
+        bound = _directional_bound(hx.value, a)
         stderr = math.hypot(est.stderr, hx.stderr / n)
         rows.append(
             DirectionScanRow(
@@ -454,8 +415,6 @@ def asymmetric_counterexample(rho=-0.9):
     var_sum = 1.0 + rho
     lhs_value = 0.5 * math.log(2.0 * math.pi * math.e * var_sum)
     hx = 0.5 * math.log((2.0 * math.pi * math.e) ** 2 * (1.0 - rho * rho))
-    rhs = hx / 2.0
-    gap = lhs_value - rhs
     lhs = EntropyEstimate(lhs_value, 0.0, "quadrature_1d", 0)
     sym = check_symmetry(mix, probes=_SYMMETRY_PROBES, seed=0, tol=_SYMMETRY_TOL)
     notes = (
@@ -463,15 +422,4 @@ def asymmetric_counterexample(rho=-0.9):
         f"symmetric={sym.verdict}",
         "expected=violated" if rho < 0 else "expected=holds_or_equality",
     )
-    return InequalityReport(
-        statement="thm_main",
-        lhs=lhs,
-        rhs=rhs,
-        gap=gap,
-        sigma=0.0,
-        verdict=_verdict(gap, 0.0, 3.0),
-        law_fingerprint=law_fingerprint(mix),
-        seed=0,
-        budget=0,
-        notes=notes,
-    )
+    return _inequality("thm_main", lhs, hx / 2.0, 0.0, mix, Budget(samples=0), notes=notes)

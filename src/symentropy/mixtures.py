@@ -281,8 +281,9 @@ def make_gaussian_mixture(components):
     """Validate and build a :class:`GaussianMixture`.
 
     ``components`` is a nonempty list of ``(weight, mean, cov)``; scalars are
-    accepted for 1-D laws.  Weights are normalized; covariances are forced
-    symmetric and must have smallest eigenvalue above 1e-12.
+    accepted for 1-D laws.  Means and covariances must be finite.  Weights
+    are normalized; covariances are forced symmetric and must have smallest
+    eigenvalue above 1e-12.
     """
     if not components:
         raise EmptyMixtureError("mixture needs at least one component")
@@ -294,6 +295,8 @@ def make_gaussian_mixture(components):
             raise ValueError(f"component {k}: weight must be positive and finite (got {w})")
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
+        if mean.size == 0:
+            raise DimensionMismatchError(f"component {k}: mean has zero length")
         if dim is None:
             dim = mean.shape[0]
         if mean.shape != (dim,) or cov.shape != (dim, dim):
@@ -301,6 +304,8 @@ def make_gaussian_mixture(components):
                 f"component {k}: mean shape {mean.shape}, cov shape {cov.shape}, "
                 f"expected dimension {dim}"
             )
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError(f"component {k}: mean and covariance must be finite")
         cov = 0.5 * (cov + cov.T)
         smallest = float(np.linalg.eigvalsh(cov)[0])
         if smallest <= _EIG_FLOOR:

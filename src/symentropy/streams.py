@@ -1,15 +1,11 @@
 """Deterministic seed splitting and chunked Monte Carlo accumulation.
 
-All Monte Carlo work is cut into fixed-size chunks so that results never
-depend on how many workers execute them.  Chunk ``i`` of a run with base
-seed ``s`` always draws from the stream ``s XOR hash(i)``, where ``hash``
-is the SplitMix64 finalizer; partial moments are merged in chunk order
-with the pairwise (Chan) update.  Setting ``SYMENTROPY_THREADS`` runs the
-chunks on a thread pool without changing any output.
+All Monte Carlo work is cut into fixed-size chunks.  Chunk ``i`` of a run
+with base seed ``s`` always draws from the stream ``s XOR hash(i)``, where
+``hash`` is the SplitMix64 finalizer; partial moments are merged in chunk
+order with the pairwise (Chan) update, so a result depends only on the
+sample count and the seed.
 """
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,17 +23,8 @@ def _mix64(i):
 
 
 def split_seed(seed, index):
-    """Private stream for worker/chunk ``index``: ``seed XOR hash(index)``."""
+    """Private stream for chunk ``index``: ``seed XOR hash(index)``."""
     return (int(seed) ^ _mix64(index)) & _M64
-
-
-def worker_count():
-    """Thread cap from SYMENTROPY_THREADS (default 1, floor 1)."""
-    raw = os.environ.get("SYMENTROPY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _chunk_sizes(count, chunk_size):
@@ -69,17 +56,11 @@ def mc_mean(stat, count, seed, chunk_size=CHUNK_SIZE):
     """Mean and standard error of ``stat(chunk_count, chunk_seed)``.
 
     ``stat`` must return a 1-D array of per-sample statistics.  The result
-    is deterministic in ``(count, seed)`` and independent of the worker
-    count.
+    is deterministic in ``(count, seed)``.
     """
     sizes = _chunk_sizes(int(count), chunk_size)
     seeds = [split_seed(seed, i) for i in range(len(sizes))]
-    threads = worker_count()
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda args: _moments(stat(*args)), zip(sizes, seeds)))
-    else:
-        parts = [_moments(stat(m, s)) for m, s in zip(sizes, seeds)]
+    parts = [_moments(stat(m, s)) for m, s in zip(sizes, seeds)]
     total = parts[0]
     for part in parts[1:]:
         total = _merge(total, part)

@@ -77,6 +77,69 @@ class TestVerifyCommand:
         assert "samples" in capsys.readouterr().err
 
 
+# Malformed law files, out-of-range builtin dimensions and non-finite
+# parameters: each is a configuration error, never a traceback.
+BAD_LAWS = {
+    "directory": None,
+    "json-list": "[]",
+    "int-components": '{"dim": 1, "components": 5}',
+    "int-component": '{"dim": 1, "components": [5]}',
+    "deep-nesting": "[" * 100_000,
+    "nan-cov": '{"dim": 1, "components": [{"weight": 1.0, "mean": [0.0], "cov": [[NaN]]}]}',
+    "inf-mean": '{"dim": 1, "components": [{"weight": 1.0, "mean": [Infinity], "cov": [[1.0]]}]}',
+    "builtin:bimodal-product-n11": None,
+    "builtin:bimodal-product-n0": None,
+    "builtin:gaussian-iid-n0": None,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LAWS))
+def test_bad_law_exits_2(name, tmp_path, capsys):
+    if name.startswith("builtin:"):
+        law = name
+    else:
+        path = tmp_path / name
+        if BAD_LAWS[name] is None:
+            path.mkdir()
+        else:
+            path.write_text(BAD_LAWS[name])
+        law = str(path)
+    status = main(["verify", "--law", law, "--samples", "1000"])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert "law" in err or "component" in err
+    assert "Traceback" not in err
+    if name in ("nan-cov", "inf-mean"):
+        assert "finite" in err
+
+
+JSON_COMMANDS = {
+    "verify": ["--law", "builtin:gaussian-iid-n1"],
+    "equality-demo": ["--law", "builtin:gaussian-iid-n1"],
+    "probe": ["--law", "builtin:gaussian-iid-n3"],
+    "kdim": ["--law", "builtin:gaussian-iid-n2", "--k", "1", "--n", "2"],
+    "debruijn": ["--law", "builtin:gaussian-iid-n2", "--nodes", "16"],
+    "scan": ["--law", "builtin:gaussian-iid-n2", "--resolution", "1"],
+    "counterexample": [],
+    "calibrate": ["--nodes", "16"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_COMMANDS))
+def test_json_report_names_its_command(command, tmp_path):
+    status, text = invoke(tmp_path, command, *JSON_COMMANDS[command], "--samples", "100")
+    assert status in (0, 1)
+    assert json.loads(text)["command"] == command
+
+
+def test_default_budget_comes_from_budget(tmp_path):
+    status, text = invoke(tmp_path, "verify", "--law", "builtin:gaussian-iid-n1")
+    assert status == 0
+    payload = json.loads(text)
+    assert payload["budget"] == se.Budget().samples
+    assert payload["seed"] == se.Budget().seed
+
+
 class TestCounterexampleCommand:
     def test_exit_zero_and_reference_gap(self, tmp_path):
         status, text = invoke(tmp_path, "counterexample")

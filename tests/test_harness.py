@@ -245,6 +245,12 @@ class TestVerdictRule:
         assert _verdict(-0.2, 0.1, 3.0) == HOLDS_WITH_EQUALITY
         assert _verdict(-0.5, 0.1, 3.0) == VIOLATED
 
+    def test_infinite_margin_holds_nan_margin_inconclusive(self):
+        from symentropy.harness import _verdict
+
+        assert _verdict(float("inf"), 0.1, 3.0) == HOLDS
+        assert _verdict(float("nan"), 0.1, 3.0) == "inconclusive"
+
 
 class TestReportSerialization:
     def test_json_dict_schema(self):

@@ -95,7 +95,7 @@ def _load_law(source):
             return mixture_from_json(fh.read())
     except OSError as exc:
         raise ConfigError(f"law: cannot read mixture file {source}: {exc}") from exc
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ConfigError(f"law: cannot parse mixture file {source}: {exc}") from exc
 
 

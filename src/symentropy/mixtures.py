@@ -6,16 +6,15 @@ Gaussian smoothing, and it can be projected onto the sign-symmetric class
 by averaging reflections.  Everything here is pure and safe to call from
 many threads; sampling takes an explicit seed.
 
-Densities, scores and samples of a mixture whose components share one
-covariance come from one vectorised kernel: a
+Densities, scores and samples come from one vectorised kernel over the
+groups of components that share a covariance: per group, a
 (components x dim) @ (dim x points) product on whitened coordinates
-cached at construction, reduced over components with whole-row vector
-operations, and taken over blocks of points small enough to stay in
-cache and on the calling thread.  That covers every builtin law and
-every law derived from one by :func:`push_forward_linear`,
-:func:`convolve_isotropic` or :func:`symmetrize`.  Mixtures whose
-covariances differ, even in the last bit, fall back to a loop over
-components.
+cached at construction, then one reduction over all components with
+whole-row vector operations, taken over blocks of points small enough to
+stay in cache and on the calling thread.  Every builtin law and every law
+derived from one by :func:`push_forward_linear`,
+:func:`convolve_isotropic` or :func:`symmetrize` has a single group;
+covariances that differ, even in the last bit, make more groups.
 
 All log-densities and entropies are in nats.
 """
@@ -24,9 +23,10 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, lapack, solve_triangular
+from scipy.linalg import lapack
 
 from .errors import (
     DimensionMismatchError,
@@ -42,7 +42,7 @@ from .errors import (
 _EIG_FLOOR = 1e-12
 _MERGE_DECIMALS = 12
 _RANK_TOL = 1e-10
-# Multiply-adds in one matrix product of the shared-covariance kernel, which
+# Multiply-adds in one matrix product of the mixture kernel, which
 # works through its points in row blocks of at most this size.  A block's
 # points x components terms then stay in cache, and OpenBLAS runs products
 # this small on the calling thread: larger ones are split over BLAS threads,
@@ -50,31 +50,36 @@ _RANK_TOL = 1e-10
 _BLOCK_MADDS = 1 << 18
 
 
+class _Group(NamedTuple):
+    """Components that share one covariance ``L L^T``, with their kernel terms."""
+
+    span: slice  # the members' rows in the kernel's block of log-terms
+    chol: np.ndarray  # L
+    whiten: np.ndarray  # W = L^-1
+    terms: np.ndarray  # [M | const], one row per member
+
+
 class GaussianMixture:
     """Finite Gaussian mixture with exact log-density, score, and sampling.
 
-    Stores stacked component arrays plus cached Cholesky factors ``L_k``
-    and log normalizers.  Use :func:`make_gaussian_mixture` to build one
-    from ``(weight, mean, cov)`` triples with full validation.
+    Use :func:`make_gaussian_mixture` to build one from ``(weight, mean,
+    cov)`` triples with full validation.
 
-    When every component has the same covariance ``L L^T`` (checked bit
-    for bit at construction; the module docstring says which laws qualify),
-    the mixture also caches ``W = L^-1``, the weighted mean ``c``, the
-    whitened centred means ``M = (mu - c) W^T`` and one constant per
-    component, ``log w_k - |M_k|^2 / 2 - log norm``.  ``log_density``,
-    ``score`` and ``responsibilities`` then share one kernel, stored
-    components-major: for ``yt = W (x - c)^T``, one column per point, the
-    component log-terms are ``M yt + const - |yt|^2 / 2``, one GEMM
-    reduced over its K rows by a max-shifted log-sum-exp, so each step of
-    the reduction is one vector operation over all points of a block.  The
-    score is ``((M^T p) / sum_k p - yt)^T W`` for the shifted exponentials
-    ``p`` of the same pass.  The kernel runs over row blocks of at most
-    ``_BLOCK_MADDS`` multiply-adds per product, reusing one block-sized
-    buffer, and ``sample`` adds ``z L^T`` to the drawn means in blocks of
-    the same product size.
-    Centring on ``c`` keeps the expansion of ``|y - M_k|^2`` accurate for
-    laws far from the origin.  Mixtures whose covariances differ take a
-    per-component loop instead.
+    Components are grouped by bit-equal covariance ``L_g L_g^T``.  Each
+    group caches ``W_g = L_g^-1`` and the rows ``[M_k | const_k]`` of its
+    members: whitened means ``M_k = (mu_k - c) W_g^T`` about the weighted
+    mean ``c`` of the whole mixture, which keeps the expansion accurate far
+    from the origin, and ``const_k = log w_k - |M_k|^2 / 2 - log norm_g``.
+    For ``yt_g = W_g (x - c)^T``, one column per point, group g's
+    log-terms are ``[M_g | const] @ [yt_g; 1] - |yt_g|^2 / 2``: one GEMM
+    per group, then one max-shifted log-sum-exp over all K rows, each step
+    a vector operation over all points of a block.  With the shifted
+    exponentials ``p``, ``s_g`` the sum of group g's rows and ``s`` their
+    total, the score is ``sum_g ((M_g^T p_g) / s - (s_g / s) yt_g)^T W_g``.
+    ``log_density``, ``score`` and ``responsibilities`` share this kernel
+    over row blocks of at most ``_BLOCK_MADDS`` multiply-adds per product;
+    ``sample`` adds ``z L_g^T`` to the drawn means in blocks of the same
+    product size.
     """
 
     def __init__(self, weights, means, covs):
@@ -83,30 +88,33 @@ class GaussianMixture:
         self.covs = np.asarray(covs, dtype=float)
         self.dim = self.means.shape[1]
         self.n_components = self.weights.shape[0]
-        self._log_weights = np.log(self.weights)
+        self._center = self.weights @ self.means
+        # + 0.0 turns -0.0 into +0.0, so equal covariances share one key
+        shared = {}
+        for k, cov in enumerate(self.covs + 0.0):
+            shared.setdefault(cov.tobytes(), []).append(k)
         half_log_2pi = 0.5 * self.dim * np.log(2.0 * np.pi)
-        if np.all(self.covs == self.covs[0]):
-            chol = np.linalg.cholesky(self.covs[0])
-            self._chol = np.broadcast_to(chol, self.covs.shape)
-            log_norm = float(np.log(chol.diagonal()).sum()) + half_log_2pi
-            self._log_norms = np.full(self.n_components, log_norm)
+        self._groups = []
+        self._group_of = np.empty(self.n_components, dtype=np.intp)
+        start = 0
+        for members in map(np.array, shared.values()):
+            self._group_of[members] = len(self._groups)
+            chol = np.linalg.cholesky(self.covs[members[0]])
             whiten = lapack.dtrtri(chol, lower=1)[0]
-            center = self.weights @ self.means
-            white_means = (self.means - center) @ whiten.T
+            white_means = (self.means[members] - self._center) @ whiten.T
             consts = (
-                self._log_weights
+                np.log(self.weights[members])
                 - 0.5 * np.einsum("ij,ij->i", white_means, white_means)
-                - log_norm
-            )[:, None]
-            self._shared = (center, whiten, white_means, consts)
-            self._block_rows = max(
-                1, _BLOCK_MADDS // (self.dim * max(self.dim, self.n_components))
+                - (float(np.log(chol.diagonal()).sum()) + half_log_2pi)
             )
-        else:
-            self._chol = np.linalg.cholesky(self.covs)
-            log_diag = np.log(np.diagonal(self._chol, axis1=1, axis2=2))
-            self._log_norms = np.sum(log_diag, axis=1) + half_log_2pi
-            self._shared = None
+            terms = np.column_stack([white_means, consts])
+            span = slice(start, start + len(members))
+            start = span.stop
+            self._groups.append(_Group(span, chol, whiten, terms))
+        self._order = np.concatenate(list(shared.values()))
+        self._block_rows = max(
+            1, _BLOCK_MADDS // ((self.dim + 1) * max(self.dim, self.n_components))
+        )
 
     @property
     def components(self):
@@ -127,108 +135,97 @@ class GaussianMixture:
             )
         return x, single
 
-    def _shared_blocks(self, x):
-        # Yields (rows, yt, p, top) over row blocks of x on the shared path,
-        # components-major: yt = W (x[rows] - c)^T has one column per point,
-        # and p[k, i] * exp(top[i]) equals exp(g[k, i]) for the component
-        # log-terms g = M yt + const, with max_k p[k, i] = 1.  Reductions
-        # over k then run as K - 1 elementwise passes over whole rows of p.
-        # p is one buffer, overwritten block after block.  On both paths a
-        # non-finite point gives NaN for its own point only.
-        center, whiten, white_means, consts = self._shared
+    def _blocks(self, x):
+        # Yields (rows, yts, p, top) per row block, components-major:
+        # yts[g] = W_g (x[rows] - c)^T, one column per point, and
+        # p[k, i] * exp(top[i]) = w_k N_k(x_i), components in group order
+        # (group g's rows are p[span_g]) and max_k p[k, i] = 1.  Each group's
+        # rows are shifted by their own max and quadratic, so no row holds
+        # another group's |yt|^2.  The arrays are buffers refilled per block,
+        # so a caller may scale them in place.  A non-finite point gives NaN
+        # for its own point only.
         step = self._block_rows
-        buf = np.empty(self.n_components * min(step, x.shape[0]))
+        width = None
         for start in range(0, x.shape[0], step):
             rows = slice(start, start + step)
-            yt = whiten @ (x[rows] - center).T
-            p = buf[: self.n_components * yt.shape[1]].reshape(self.n_components, -1)
-            np.matmul(white_means, yt, out=p)
-            p += consts
-            top = p.max(axis=0)
-            p -= top
+            d = (x[rows] - self._center).T
+            if d.shape[1] != width:
+                width = d.shape[1]
+                p = np.empty((self.n_components, width))
+                p_groups = [p[g.span] for g in self._groups]
+                ys = np.ones((len(self._groups), self.dim + 1, width))
+                yts = ys[:, : self.dim]
+                tops = np.empty((len(self._groups), width))
+            for g, p_g, y, top_g in zip(self._groups, p_groups, ys, tops):
+                np.matmul(g.whiten, d, out=y[: self.dim])
+                np.matmul(g.terms, y, out=p_g)
+                p_g.max(axis=0, out=top_g)
+            log_scales = np.einsum("gij,gij->gj", yts, yts)
+            log_scales *= -0.5
+            log_scales += tops
+            top = log_scales.max(axis=0)
+            log_scales -= top
+            tops -= log_scales
+            for p_g, shift in zip(p_groups, tops):
+                p_g -= shift
             np.exp(p, out=p)
-            yield rows, yt, p, top
-
-    def _loop_terms(self, x):
-        # Per-component path: returns (p, top) with p[i, k] * exp(top[i])
-        # equal to w_k N_k(x_i) and max_k p[i, k] = 1.
-        p = np.empty((x.shape[0], self.n_components))
-        for k in range(self.n_components):
-            z = solve_triangular(
-                self._chol[k], (x - self.means[k]).T, lower=True, check_finite=False
-            )
-            p[:, k] = -0.5 * np.einsum("ij,ij->j", z, z)
-        p += self._log_weights - self._log_norms
-        top = p.max(axis=1)
-        p -= top[:, None]
-        np.exp(p, out=p)
-        return p, top
+            yield rows, yts, p, top
 
     def log_density(self, x):
         """Log-density in nats, via a max-shifted log-sum-exp over components."""
         x, single = self._as_batch(x)
-        if self._shared is None:
-            p, top = self._loop_terms(x)
-            out = np.log(p.sum(axis=1)) + top
-        else:
-            out = np.empty(x.shape[0])
-            for rows, yt, p, top in self._shared_blocks(x):
-                log_scale = top - 0.5 * np.einsum("ij,ij->j", yt, yt)
-                out[rows] = np.log(p.sum(axis=0)) + log_scale
+        out = np.empty(x.shape[0])
+        for rows, _, p, top in self._blocks(x):
+            out[rows] = np.log(p.sum(axis=0)) + top
         return float(out[0]) if single else out
 
     def responsibilities(self, x):
         """Posterior component weights ``P(component k | X = x)``, one row per point."""
         x, single = self._as_batch(x)
-        if self._shared is None:
-            resp, _ = self._loop_terms(x)
-            resp /= resp.sum(axis=1, keepdims=True)
-        else:
-            resp = np.empty((x.shape[0], self.n_components))
-            for rows, _, p, _ in self._shared_blocks(x):
-                resp[rows] = (p / p.sum(axis=0)).T
+        resp = np.empty((x.shape[0], self.n_components))
+        for rows, _, p, _ in self._blocks(x):
+            resp[rows, self._order] = (p / p.sum(axis=0)).T
         return resp[0] if single else resp
 
     def score(self, x):
         """Gradient of the log-density, from posterior component weights."""
+        # -sum_k r_k Sigma_k^-1 (x - mu_k) = sum_g ((M_g^T p_g) / s - (s_g / s) yt_g)^T W_g
         x, single = self._as_batch(x)
-        if self._shared is None:
-            resp, _ = self._loop_terms(x)
-            resp /= resp.sum(axis=1, keepdims=True)
-            out = np.zeros_like(x)
-            for k in range(self.n_components):
-                diff = (x - self.means[k]).T
-                grad_k = -cho_solve((self._chol[k], True), diff, check_finite=False).T
-                out += resp[:, k, None] * grad_k
-        else:
-            # -Sigma^-1 (x - sum_k r_k mu_k) = ((M^T p) / sum_k p - yt)^T W
-            _, whiten, white_means, _ = self._shared
-            out = np.empty_like(x)
-            for rows, yt, p, _ in self._shared_blocks(x):
-                out[rows] = ((white_means.T @ p) / p.sum(axis=0) - yt).T @ whiten
+        out = np.empty_like(x)
+        for rows, yts, p, _ in self._blocks(x):
+            sums = [p[g.span].sum(axis=0) for g in self._groups]
+            total = sum(sums[1:], sums[0])
+            parts = []
+            for g, s_g, yt in zip(self._groups, sums, yts):
+                grad = g.terms[:, :-1].T @ p[g.span]
+                grad /= total
+                yt *= s_g / total
+                grad -= yt
+                parts.append(grad.T @ g.whiten)
+            out[rows] = sum(parts[1:], parts[0])
         return out[0] if single else out
 
     def sample(self, count, seed):
-        """Draw ``count`` points; deterministic given ``(count, seed)``."""
+        """Draw ``count`` points; deterministic given ``(count, seed)``.
+
+        Every point gets the first group's ``z L^T``; points drawn from any
+        other group are then redone with that group's factor.
+        """
         count = int(count)
         if count < 1:
             raise ValueError(f"count: must be >= 1 (got {count})")
         rng = np.random.default_rng(int(seed))
         comp = rng.choice(self.n_components, size=count, p=self.weights)
         z = rng.standard_normal((count, self.dim))
-        if self._shared is not None:
-            out = self.means[comp]
-            chol_t = self._chol[0].T
-            step = max(1, _BLOCK_MADDS // (self.dim * self.dim))
-            for start in range(0, count, step):
-                rows = slice(start, start + step)
-                out[rows] += z[rows] @ chol_t
-            return out
-        out = np.empty((count, self.dim))
-        for k in range(self.n_components):
-            mask = comp == k
-            if np.any(mask):
-                out[mask] = self.means[k] + z[mask] @ self._chol[k].T
+        out = self.means[comp]
+        first, *rest = self._groups
+        step = max(1, _BLOCK_MADDS // (self.dim * self.dim))
+        for start in range(0, count, step):
+            rows = slice(start, start + step)
+            out[rows] += z[rows] @ first.chol.T
+            for i, g in enumerate(rest, 1):
+                idx = start + np.flatnonzero(self._group_of[comp[rows]] == i)
+                out[idx] = self.means[comp[idx]] + z[idx] @ g.chol.T
         return out
 
     def covariance(self):
@@ -366,7 +363,7 @@ def symmetrize(mix, max_dim=12):
     merges reflected duplicates by (mean, cov) fingerprint, so symmetric
     inputs are fixed points.  Reflected covariances with the same rounded
     fingerprint share the first such array, so rounding residues do not
-    keep the output off the shared-covariance kernel.  Guarded to n <= 12
+    split the output into more covariance groups.  Guarded to n <= 12
     because the component count multiplies by up to 2^n.
     """
     n = mix.dim

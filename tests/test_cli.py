@@ -90,6 +90,8 @@ BAD_LAWS = {
     "builtin:bimodal-product-n11": None,
     "builtin:bimodal-product-n0": None,
     "builtin:gaussian-iid-n0": None,
+    "builtin:gaussian-iid-n513": None,
+    "dim-overflow": '{"dim": 1e400, "components": [{"weight": 1.0, "mean": [0.0], "cov": [[1.0]]}]}',
 }
 
 

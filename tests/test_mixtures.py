@@ -7,7 +7,7 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 import symentropy as se
-from symentropy.mixtures import ROTATION_2D, GaussianMixture
+from symentropy.mixtures import ROTATION_2D
 
 HALF_LOG_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 
@@ -134,11 +134,27 @@ def _oracle(law, x):
     return log_f, resp, score
 
 
-def _loop_twin(law):
-    """The same law with the shared-covariance cache dropped: runs the loop path."""
-    twin = GaussianMixture(law.weights, law.means, law.covs)
-    twin._shared = None
-    return twin
+def _reference_sample(law, count, seed):
+    """``sample``'s rule written out with the same random-number calls.
+
+    A point is its component's mean plus ``z L^T`` for the Cholesky factor
+    ``L`` of its component's covariance.  The first covariance's factor (in
+    component order) goes over all points in one product and every other
+    factor over its own points only, as in ``sample``, because numpy
+    rounds a one-row product differently from a many-row one.
+    """
+    rng = np.random.default_rng(seed)
+    comp = rng.choice(law.n_components, size=count, p=law.weights)
+    z = rng.standard_normal((count, law.dim))
+    distinct = []
+    for cov in law.covs:
+        if not any(np.array_equal(cov, c) for c in distinct):
+            distinct.append(cov)
+    out = law.means[comp] + z @ np.linalg.cholesky(distinct[0]).T
+    for cov in distinct[1:]:
+        mask = np.array([np.array_equal(c, cov) for c in law.covs])[comp]
+        out[mask] = law.means[comp[mask]] + z[mask] @ np.linalg.cholesky(cov).T
+    return out
 
 
 def _shifted(law, offset):
@@ -164,8 +180,11 @@ KERNEL_LAWS = {
             (0.7, [-1.0, 0.5], [[0.5, -0.1], [-0.1, 1.5]]),
         ]
     ),
+    # 9 components in 4 covariance groups of 4, 2, 2 and 1
+    "rotated-trimodal": se.rotated_iid_construction(se.trimodal_1d()),
 }
-LOOP_LAWS = {"trimodal-1d", "mixed-covariances-2d"}
+# covariance groups of the laws with more than one
+GROUP_COUNTS = {"trimodal-1d": 2, "mixed-covariances-2d": 2, "rotated-trimodal": 4}
 
 
 def _assert_close(got, want, name):
@@ -177,7 +196,7 @@ class TestKernel:
     @pytest.mark.parametrize("name", sorted(KERNEL_LAWS))
     def test_matches_per_component_oracle(self, name):
         law = KERNEL_LAWS[name]
-        assert (law._shared is None) == (name in LOOP_LAWS)
+        assert len(law._groups) == GROUP_COUNTS.get(name, 1)
         x = law.sample(500, 5)
         center = law.weights @ law.means
         # far points: the log-sum-exp is dominated by one tiny term
@@ -190,7 +209,7 @@ class TestKernel:
         _assert_close(law.log_density(x[0]), log_f[0], name)
         _assert_close(law.score(x[0]), score[0], name)
 
-    @pytest.mark.parametrize("name", ["bimodal-n3", "gaussian-iid-n3"])
+    @pytest.mark.parametrize("name", ["bimodal-n3", "gaussian-iid-n3", "trimodal-1d"])
     def test_matches_oracle_across_block_boundaries(self, name):
         law = KERNEL_LAWS[name]
         x = law.sample(2 * law._block_rows + 1, 6)
@@ -224,14 +243,20 @@ class TestKernel:
             if law.dim <= 4 and np.all(law.covs[0] == np.diag(np.diag(law.covs[0]))):
                 derived.append(se.symmetrize(law))
             for d in derived:
-                assert d._shared is not None, (law, d)
+                assert len(d._groups) == 1, (law, d)
         # A reflection flips the sign of an off-diagonal entry.  For a
-        # correlation the reflected covariances genuinely differ and run the
-        # loop path; for rotated-bimodal they differ only by the rounding
+        # correlation the reflected covariances genuinely differ and form two
+        # groups; for rotated-bimodal they differ only by the rounding
         # residue of the 45-degree rotation (~1e-17), round to one merge key
         # and share one array.
-        assert se.symmetrize(se.correlated_gaussian(0.5))._shared is None
-        assert se.symmetrize(se.rotated_bimodal())._shared is not None
+        assert len(se.symmetrize(se.correlated_gaussian(0.5))._groups) == 2
+        assert len(se.symmetrize(se.rotated_bimodal())._groups) == 1
+
+    def test_signed_zero_covariances_share_a_group(self):
+        law = se.make_gaussian_mixture(
+            [(0.5, [1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]), (0.5, [-1.0, 0.0], [[1.0, -0.0], [-0.0, 1.0]])]
+        )
+        assert len(law._groups) == 1
 
     @pytest.mark.parametrize("name", ["bimodal-n2", "mixed-covariances-2d"])
     def test_non_finite_point_spoils_only_its_row(self, name):
@@ -243,11 +268,20 @@ class TestKernel:
         assert log_f[2] == pytest.approx(law.log_density(x[2]), abs=1e-14)
         assert np.allclose(score[2], law.score(x[2]), atol=1e-14)
 
-    @pytest.mark.parametrize("law", [se.bimodal_product(3), se.rotated_bimodal(), se.gaussian_iid(2)])
+    @pytest.mark.parametrize(
+        "law",
+        [
+            se.bimodal_product(3),
+            se.rotated_bimodal(),
+            se.gaussian_iid(2),
+            KERNEL_LAWS["trimodal-1d"],
+            KERNEL_LAWS["mixed-covariances-2d"],
+            KERNEL_LAWS["rotated-trimodal"],
+        ],
+    )
     def test_sample_bit_identical_to_loop_path(self, law):
-        twin = _loop_twin(law)
         for count, seed in [(1, 0), (7, 1), (1000, 2), (70000, 3)]:
-            assert np.array_equal(law.sample(count, seed), twin.sample(count, seed))
+            assert np.array_equal(law.sample(count, seed), _reference_sample(law, count, seed))
 
 
 class TestPushForward:

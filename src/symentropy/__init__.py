@@ -15,8 +15,6 @@ from .bases import (
     balanced_projection,
     check_balanced,
     gram_schmidt,
-    matrix_from_json,
-    matrix_to_json,
     proof_basis_family,
     sign_vertex_basis,
 )

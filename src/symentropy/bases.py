@@ -211,18 +211,3 @@ def check_balanced(matrix, tol=1e-12):
     ok = row_gram_dev <= tol and col_norm_dev <= tol
     return BalanceReport(ok=ok, row_gram_dev=row_gram_dev, col_norm_dev=col_norm_dev, tol=float(tol))
 
-
-# --- JSON round-trip (row-major, 17 significant digits) -------------------
-
-def matrix_to_json(matrix):
-    rows = [
-        "[" + ", ".join(format(float(v), ".17g") for v in row) + "]"
-        for row in np.asarray(matrix, dtype=float)
-    ]
-    return "[" + ", ".join(rows) + "]"
-
-
-def matrix_from_json(text):
-    import json
-
-    return np.asarray(json.loads(text), dtype=float)

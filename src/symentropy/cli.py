@@ -6,6 +6,11 @@ the expected class for the command, 1 on a verdict failure, 2 on a
 configuration or parse error.  Identical invocations produce byte-identical
 reports; every report embeds the seed, the sample budget, and the law
 fingerprint.
+
+A JSON report is the library's report dataclass, serialised by
+``dataclasses.asdict``, plus ``command``.  Only ``debruijn`` and
+``calibrate`` are compositions built here, since no single library report
+holds what they print.
 """
 
 import argparse
@@ -14,7 +19,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .bases import balanced_projection
 from .errors import SymentropyError
@@ -187,7 +192,7 @@ def _verify(config):
 
 
 def _statement(report, **extra):
-    return {**report.to_json_dict(), **extra}, report.verdict in _PASSING
+    return {**asdict(report), **extra}, report.verdict in _PASSING
 
 
 def _equality_demo(config):
@@ -195,40 +200,17 @@ def _equality_demo(config):
     if law.dim != 1:
         raise ConfigError(f"law: equality-demo needs a 1-D base law (got dim {law.dim})")
     report = equality_demo_n2(law, _budget(config))
-    payload = {
-        "gap": report.gap,
-        "sigma": report.sigma,
-        "verdict": report.verdict,
-        "independence_ok": report.independence.verdict,
-        "coordinate_symmetry_ok": report.coordinate_symmetry.verdict,
-        "law_fingerprint": report.law_fingerprint,
-        "seed": report.seed,
-        "budget": report.budget,
-    }
     ok = (
         report.verdict == HOLDS_WITH_EQUALITY
         and report.independence.verdict
         and report.coordinate_symmetry.verdict
     )
-    return payload, ok
+    return asdict(report), ok
 
 
 def _probe(config):
     report = gaussianity_probe(_load_law(config.law_path), _budget(config))
-    payload = {
-        "main": report.main.to_json_dict(),
-        "independence_failures": list(report.independence_failures),
-        "evidence": [
-            {
-                "basis_index": e.basis_index,
-                "mixed_partial_max": e.mixed_partial.max_abs,
-                "mixed_partial_ok": e.mixed_partial.verdict,
-                "max_cross_z": e.max_cross_z,
-            }
-            for e in report.evidence
-        ],
-    }
-    return payload, report.main.verdict in _PASSING
+    return asdict(report), report.main.verdict in _PASSING
 
 
 def _kdim(config):
@@ -248,7 +230,7 @@ def _debruijn(config):
     law = _load_law(config.law_path)
     est = entropy_via_debruijn(law, nodes=config.nodes, count=config.samples, seed=config.seed)
     payload = {
-        "estimate": est.to_json_dict(),
+        "estimate": asdict(est),
         "law_fingerprint": law_fingerprint(law),
         "seed": config.seed,
         "budget": config.samples,
@@ -259,7 +241,7 @@ def _debruijn(config):
     reference = entropy_quadrature_1d(law)
     z_den = math.hypot(est.stderr, reference.stderr)
     z = abs(est.value - reference.value) / z_den if z_den > 0 else math.inf
-    payload["reference_quadrature"] = reference.to_json_dict()
+    payload["reference_quadrature"] = asdict(reference)
     payload["z"] = z
     return payload, z <= config.tol_sigma
 
@@ -267,31 +249,15 @@ def _debruijn(config):
 def _scan(config):
     law = _load_law(config.law_path)
     report = direction_scan(law, resolution=config.resolution, budget=_budget(config))
-    ok = all(r.margin >= -config.tol_sigma * r.stderr for r in report.rows)
+    ok = all(row.verdict in _PASSING for row in report.rows)
     if config.out_format == "csv":
         return report.to_csv(), ok
-    payload = {
-        "rows": [
-            {
-                "direction": list(r.direction),
-                "entropy": r.entropy,
-                "stderr": r.stderr,
-                "bound": r.bound,
-                "margin": r.margin,
-            }
-            for r in report.rows
-        ],
-        "argmax_direction": list(report.argmax_direction),
-        "law_fingerprint": report.law_fingerprint,
-        "seed": report.seed,
-        "budget": config.samples,
-    }
-    return payload, ok
+    return asdict(report), ok
 
 
 def _counterexample(config):
     report = asymmetric_counterexample()
-    return report.to_json_dict(), report.verdict == VIOLATED
+    return asdict(report), report.verdict == VIOLATED
 
 
 # Each handler returns (JSON payload or CSV text, whether the verdicts pass).

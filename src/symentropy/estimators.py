@@ -46,14 +46,6 @@ class EntropyEstimate:
     method: str  # mc_logdensity | quadrature_1d | knn | debruijn
     count: int
 
-    def to_json_dict(self):
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "method": self.method,
-            "count": self.count,
-        }
-
 
 @dataclass(frozen=True)
 class FisherEstimate:
@@ -62,9 +54,6 @@ class FisherEstimate:
     value: float
     stderr: float
     count: int
-
-    def to_json_dict(self):
-        return {"value": self.value, "stderr": self.stderr, "count": self.count}
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,13 @@ import re
 
 import numpy as np
 
-from .mixtures import make_gaussian_mixture, rotated_iid_construction
-from .streams import CHUNK_SIZE
+from .mixtures import MAX_DIM, make_gaussian_mixture, rotated_iid_construction
 
 _GAUSSIAN = re.compile(r"gaussian-iid-n(\d+)$")
 _BIMODAL = re.compile(r"bimodal-product-n(\d+)$")
 _CORRELATED = re.compile(r"correlated-gaussian-rho(-?\d+(?:\.\d+)?)$")
 
 _MAX_PRODUCT_DIM = 10
-# One CHUNK_SIZE x n float64 sample chunk stays within 256 MiB.
-_MAX_GAUSSIAN_DIM = (256 << 20) // (8 * CHUNK_SIZE)
 
 
 def bimodal_1d(separation=2.0, var=1.0):
@@ -32,10 +29,11 @@ def bimodal_1d(separation=2.0, var=1.0):
 
 
 def gaussian_iid(n, var=1.0):
-    """Centered isotropic normal on R^n, for n <= 512."""
+    """Centered isotropic normal on R^n, for n <= MAX_DIM (512)."""
     n = int(n)
-    if n > _MAX_GAUSSIAN_DIM:
-        raise ValueError(f"n: gaussian fixture supports n <= {_MAX_GAUSSIAN_DIM} (got {n})")
+    # checked here too, so that an oversized n never allocates its identity
+    if n > MAX_DIM:
+        raise ValueError(f"n: gaussian fixture supports n <= {MAX_DIM} (got {n})")
     return make_gaussian_mixture([(1.0, np.zeros(n), var * np.eye(n))])
 
 

@@ -8,7 +8,7 @@ Violations are expected only for laws that fail the symmetry check.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -77,18 +77,7 @@ class InequalityReport:
     notes: tuple = ()
 
     def to_json_dict(self):
-        return {
-            "statement": self.statement,
-            "lhs": self.lhs.to_json_dict(),
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "sigma": self.sigma,
-            "verdict": self.verdict,
-            "law_fingerprint": self.law_fingerprint,
-            "seed": self.seed,
-            "budget": self.budget,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 def _verdict(margin, sigma, tol_sigma):
@@ -315,6 +304,7 @@ class DirectionScanRow:
     stderr: float
     bound: float
     margin: float
+    verdict: str
 
 
 @dataclass(frozen=True)
@@ -324,6 +314,7 @@ class DirectionScanReport:
     argmax_direction: tuple
     law_fingerprint: str
     seed: int
+    budget: int
 
     def to_csv(self):
         n = len(self.rows[0].direction)
@@ -371,13 +362,15 @@ def direction_scan(mix, resolution=90, budget=Budget()):
         est = projection_entropy(mix, a)
         bound = _directional_bound(hx.value, a)
         stderr = math.hypot(est.stderr, hx.stderr / n)
+        margin = est.value - bound
         rows.append(
             DirectionScanRow(
                 direction=tuple(float(v) for v in a),
                 entropy=est.value,
                 stderr=stderr,
                 bound=bound,
-                margin=est.value - bound,
+                margin=margin,
+                verdict=_verdict(margin, stderr, budget.tol_sigma),
             )
         )
     best = max(range(len(rows)), key=lambda r: rows[r].entropy)
@@ -387,6 +380,7 @@ def direction_scan(mix, resolution=90, budget=Budget()):
         argmax_direction=rows[best].direction,
         law_fingerprint=law_fingerprint(mix),
         seed=budget.seed,
+        budget=budget.samples,
     )
 
 

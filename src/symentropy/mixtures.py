@@ -38,6 +38,11 @@ from .errors import (
     NotUnivariateError,
     RankDeficientError,
 )
+from .streams import CHUNK_SIZE
+
+# Largest law dimension: one CHUNK_SIZE x n float64 sample chunk stays
+# within 256 MiB.
+MAX_DIM = (256 << 20) // (8 * CHUNK_SIZE)
 
 _EIG_FLOOR = 1e-12
 _MERGE_DECIMALS = 12
@@ -280,7 +285,7 @@ def make_gaussian_mixture(components):
     ``components`` is a nonempty list of ``(weight, mean, cov)``; scalars are
     accepted for 1-D laws.  Means and covariances must be finite.  Weights
     are normalized; covariances are forced symmetric and must have smallest
-    eigenvalue above 1e-12.
+    eigenvalue above 1e-12.  The dimension is at most :data:`MAX_DIM`.
     """
     if not components:
         raise EmptyMixtureError("mixture needs at least one component")
@@ -296,6 +301,10 @@ def make_gaussian_mixture(components):
             raise DimensionMismatchError(f"component {k}: mean has zero length")
         if dim is None:
             dim = mean.shape[0]
+            if dim > MAX_DIM:
+                raise DimensionTooLargeError(
+                    f"component {k}: dimension {dim} > {MAX_DIM}, the largest supported"
+                )
         if mean.shape != (dim,) or cov.shape != (dim, dim):
             raise DimensionMismatchError(
                 f"component {k}: mean shape {mean.shape}, cov shape {cov.shape}, "

@@ -184,9 +184,3 @@ class TestCheckBalanced:
     def test_rejects_single_coordinate_row(self):
         assert not se.check_balanced(np.array([[1.0, 0.0, 0.0]])).ok
 
-
-class TestMatrixJson:
-    def test_round_trip(self):
-        m = np.array([[1 / 3, 0.1], [-2e-7, 4.0]])
-        back = se.matrix_from_json(se.matrix_to_json(m))
-        assert np.array_equal(back, m)

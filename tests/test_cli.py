@@ -1,6 +1,8 @@
 import json
 import math
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import symentropy as se
@@ -92,6 +94,14 @@ BAD_LAWS = {
     "builtin:gaussian-iid-n0": None,
     "builtin:gaussian-iid-n513": None,
     "dim-overflow": '{"dim": 1e400, "components": [{"weight": 1.0, "mean": [0.0], "cov": [[1.0]]}]}',
+    "dim-513": json.dumps(
+        {
+            "dim": 513,
+            "components": [
+                {"weight": 1.0, "mean": [0.0] * 513, "cov": np.eye(513).tolist()}
+            ],
+        }
+    ),
 }
 
 
@@ -127,11 +137,28 @@ JSON_COMMANDS = {
 }
 
 
+# A JSON report is its library report's fields plus "command" (and, for
+# kdim, "method"); debruijn and calibrate are compositions with no report type.
+REPORT_TYPES = {
+    "verify": (se.InequalityReport, ()),
+    "kdim": (se.InequalityReport, ("method",)),
+    "counterexample": (se.InequalityReport, ()),
+    "probe": (se.GaussianityProbeReport, ()),
+    "scan": (se.DirectionScanReport, ()),
+    "equality-demo": (se.EqualityDemoReport, ()),
+}
+
+
 @pytest.mark.parametrize("command", sorted(JSON_COMMANDS))
 def test_json_report_names_its_command(command, tmp_path):
     status, text = invoke(tmp_path, command, *JSON_COMMANDS[command], "--samples", "100")
     assert status in (0, 1)
-    assert json.loads(text)["command"] == command
+    payload = json.loads(text)
+    assert payload["command"] == command
+    if command in REPORT_TYPES:
+        report_type, extra = REPORT_TYPES[command]
+        expected = {f.name for f in fields(report_type)} | {"command", *extra}
+        assert set(payload) == expected
 
 
 def test_default_budget_comes_from_budget(tmp_path):
@@ -240,7 +267,8 @@ class TestEqualityDemoCommand:
         assert status == 0
         payload = json.loads(text)
         assert payload["verdict"] == "holds_with_equality"
-        assert payload["independence_ok"] is True
+        assert payload["independence"]["verdict"] is True
+        assert payload["coordinate_symmetry"]["verdict"] is True
 
     def test_rejects_multivariate_law(self, capsys):
         status = main(["equality-demo", "--law", "builtin:gaussian-iid-n2"])

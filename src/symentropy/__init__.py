@@ -24,6 +24,7 @@ from .errors import (
     DimensionTooSmallError,
     EmptyMixtureError,
     IndexOutOfRangeError,
+    InvalidComponentError,
     LinearlyDependentError,
     NegativeTimeError,
     NonFiniteLogDensityError,

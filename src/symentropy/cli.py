@@ -22,7 +22,7 @@ import tempfile
 from dataclasses import asdict, dataclass
 
 from .bases import balanced_projection
-from .errors import SymentropyError
+from .errors import DimensionMismatchError, SymentropyError
 from .estimators import entropy_knn, entropy_mc, entropy_quadrature_1d, fisher_mc
 from .fixtures import builtin_law, gaussian_iid
 from .harness import (
@@ -101,7 +101,13 @@ def _load_law(source):
     except OSError as exc:
         raise ConfigError(f"law: cannot read mixture file {source}: {exc}") from exc
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        raise ConfigError(f"law: cannot parse mixture file {source}: {exc}") from exc
+        # JSON, type and shape faults are parse errors; a well-shaped law that
+        # make_gaussian_mixture rejects (dimension cap, NaN, not PD) is invalid
+        invalid = isinstance(exc, SymentropyError) and not isinstance(
+            exc, DimensionMismatchError
+        )
+        problem = "invalid" if invalid else "cannot parse"
+        raise ConfigError(f"law: {problem} mixture file {source}: {exc}") from exc
 
 
 def _canonical_json(obj):

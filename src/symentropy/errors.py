@@ -19,6 +19,10 @@ class NotPositiveDefiniteError(SymentropyError):
     """A covariance matrix is not positive definite; names the component."""
 
 
+class InvalidComponentError(SymentropyError):
+    """A component weight is not positive, or a parameter is not finite."""
+
+
 class RankDeficientError(SymentropyError):
     """A projection matrix does not have full row rank."""
 

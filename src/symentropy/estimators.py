@@ -15,9 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.spatial import cKDTree
-from scipy.special import digamma, erfc, gammaln
 
 from .errors import (
     IndexOutOfRangeError,
@@ -130,7 +127,7 @@ def cross_term_mc(d, i, j, count, seed):
 # --- 1-D quadrature --------------------------------------------------------
 
 def _normal_tail(z):
-    return 0.5 * erfc(z / math.sqrt(2.0))
+    return np.array([0.5 * math.erfc(v / math.sqrt(2.0)) for v in z])
 
 
 def _mixture_radius(mix):
@@ -232,10 +229,21 @@ def _deduplicate(x):
     return x
 
 
-def _knn_value(x, k):
+def _knn_radii(x, k):
+    # Column j holds each row's distance to its j-th nearest row; column 0 is
+    # the row itself, so a zero in column 1 marks an exact duplicate.
+    from scipy.spatial import cKDTree
+
+    return cKDTree(x).query(x, k=k + 1, workers=1)[0]
+
+
+def _knn_value(x, k, radii=None):
+    from scipy.special import digamma, gammaln
+
     n_samples, n_dim = x.shape
-    tree = cKDTree(x)
-    r = tree.query(x, k=k + 1, workers=1)[0][:, k]
+    if radii is None:
+        radii = _knn_radii(x, k)
+    r = radii[:, k]
     if np.any(r <= 0.0):
         raise TooFewSamplesError("duplicate points survived jitter; increase spread")
     log_ball = 0.5 * n_dim * math.log(math.pi) - gammaln(0.5 * n_dim + 1.0)
@@ -248,9 +256,11 @@ def entropy_knn(samples, k=4):
     """Nearest-neighbor (Kozachenko-Leonenko) entropy from samples alone.
 
     Digamma-corrected k-th neighbor estimate (k=4 default); exact duplicate
-    rows get a deterministic 1e-12 jitter.  The stderr combines the 10-fold
-    subsample spread with the drift between the fold mean and the full
-    estimate, so finite-sample bias is surfaced rather than hidden.
+    rows, seen as zero nearest-neighbor distances, get a deterministic 1e-12
+    jitter.  The stderr combines the 10-fold subsample spread with the
+    drift between the fold mean and the full estimate, so finite-sample bias
+    is surfaced rather than hidden.  Needs scipy, which only this estimator
+    imports.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
@@ -261,8 +271,11 @@ def entropy_knn(samples, k=4):
         raise TooFewSamplesError(
             f"need at least {2 * k + 2} samples for k={k} (got {n_samples})"
         )
-    x = _deduplicate(x)
-    value = _knn_value(x, k)
+    radii = _knn_radii(x, k)
+    if np.any(radii[:, 1] == 0.0):
+        x = _deduplicate(x)
+        radii = _knn_radii(x, k)
+    value = _knn_value(x, k, radii)
     folds = min(_KNN_FOLDS, n_samples // (k + 2))
     if folds < 2:
         return EntropyEstimate(value, float("inf"), "knn", n_samples)
@@ -295,8 +308,7 @@ def _conditional_parts(mix, a):
     # exact zeros so degenerate conditioning stays exact).
     parts = []
     for cov in mix.covs:
-        chol_s = np.linalg.cholesky(a @ cov @ a.T)
-        gain = cho_solve((chol_s, True), a @ cov).T
+        gain = np.linalg.solve(a @ cov @ a.T, a @ cov).T
         cond_cov = cov - gain @ (a @ cov)
         eigval, eigvec = np.linalg.eigh(0.5 * (cond_cov + cond_cov.T))
         floor = 1e-12 * max(1.0, float(eigval[-1]))

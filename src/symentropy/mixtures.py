@@ -26,12 +26,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
     EmptyMixtureError,
+    InvalidComponentError,
     NegativeTimeError,
     NotPositiveDefiniteError,
     NotSymmetricBaseError,
@@ -105,7 +105,7 @@ class GaussianMixture:
         for members in map(np.array, shared.values()):
             self._group_of[members] = len(self._groups)
             chol = np.linalg.cholesky(self.covs[members[0]])
-            whiten = lapack.dtrtri(chol, lower=1)[0]
+            whiten = np.linalg.inv(chol)
             white_means = (self.means[members] - self._center) @ whiten.T
             consts = (
                 np.log(self.weights[members])
@@ -294,7 +294,9 @@ def make_gaussian_mixture(components):
     for k, (w, mean, cov) in enumerate(components):
         w = float(w)
         if not np.isfinite(w) or w <= 0.0:
-            raise ValueError(f"component {k}: weight must be positive and finite (got {w})")
+            raise InvalidComponentError(
+                f"component {k}: weight must be positive and finite (got {w})"
+            )
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
         if mean.size == 0:
@@ -311,7 +313,7 @@ def make_gaussian_mixture(components):
                 f"expected dimension {dim}"
             )
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise ValueError(f"component {k}: mean and covariance must be finite")
+            raise InvalidComponentError(f"component {k}: mean and covariance must be finite")
         cov = 0.5 * (cov + cov.T)
         smallest = float(np.linalg.eigvalsh(cov)[0])
         if smallest <= _EIG_FLOOR:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -102,7 +105,13 @@ BAD_LAWS = {
             ],
         }
     ),
+    "not-pd": '{"dim": 2, "components": [{"weight": 1.0, "mean": [0.0, 0.0], "cov": [[1.0, 2.0], [2.0, 1.0]]}]}',
+    "ragged-cov": '{"dim": 2, "components": [{"weight": 1.0, "mean": [0.0, 0.0], "cov": [[1.0], [0.0, 1.0]]}]}',
+    "cov-shape": '{"dim": 2, "components": [{"weight": 1.0, "mean": [0.0, 0.0], "cov": [[1.0]]}]}',
 }
+# Well-shaped law files that make_gaussian_mixture rejects; every other
+# file in BAD_LAWS fails to parse as a mixture.
+INVALID_LAWS = ("nan-cov", "inf-mean", "dim-513", "not-pd")
 
 
 @pytest.mark.parametrize("name", sorted(BAD_LAWS))
@@ -123,6 +132,31 @@ def test_bad_law_exits_2(name, tmp_path, capsys):
     assert "Traceback" not in err
     if name in ("nan-cov", "inf-mean"):
         assert "finite" in err
+    if name in INVALID_LAWS:
+        assert f"law: invalid mixture file {law}: component 0: " in err
+    elif not name.startswith("builtin:") and BAD_LAWS[name] is not None:
+        assert f"law: cannot parse mixture file {law}: " in err
+
+
+def test_import_and_verify_run_without_scipy(tmp_path):
+    # scipy serves the kNN estimator alone; a fresh interpreter that imports
+    # the package and runs a verify must not load it.
+    code = (
+        "import sys, symentropy, symentropy.cli\n"
+        "status = symentropy.cli.main(['verify', '--law', 'builtin:gaussian-iid-n3',"
+        " '--samples', '1000', '--out', sys.argv[1]])\n"
+        "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(se.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    status, loaded = done.stdout.split(" ", 1)
+    assert status in ("0", "1")
+    assert loaded.strip() == "[]"
 
 
 JSON_COMMANDS = {

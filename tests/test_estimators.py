@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import symentropy as se
+from symentropy import estimators
 
 HALF_LOG_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 
@@ -110,6 +111,18 @@ class TestEntropyKnn:
         est = se.entropy_knn(doubled)
         assert np.isfinite(est.value)
 
+    def test_duplicates_found_by_the_neighbor_query(self, monkeypatch):
+        x = se.gaussian_iid(2).sample(2000, 5)
+        doubled = np.vstack([x, x[:10]])
+        jittered = estimators._deduplicate(doubled)
+        assert se.entropy_knn(doubled) == se.entropy_knn(jittered)
+
+        def unexpected(_):
+            raise AssertionError("no zero neighbor distance, so no duplicate check")
+
+        monkeypatch.setattr(estimators, "_deduplicate", unexpected)
+        se.entropy_knn(x)
+
     def test_too_few_samples(self):
         with pytest.raises(se.TooFewSamplesError):
             se.entropy_knn(np.zeros((8, 1)), k=4)
@@ -206,6 +219,29 @@ class TestScoreProjection:
         law = se.bimodal_product(2)
         report = se.score_projection_residual(law, np.eye(2), probes=8, count=1000, seed=0)
         assert report.max_residual <= 1e-12
+
+    def test_correlated_gaussian_analytic(self):
+        law = se.correlated_gaussian(0.5)
+        for a in (np.array([[1.0, 1.0]]) / math.sqrt(2), np.array([[0.6, -0.8]])):
+            report = se.score_projection_residual(law, a, probes=16, count=1000, seed=3)
+            assert report.max_residual <= 1e-12
+
+    def test_conditional_gains_match_cholesky_solve(self):
+        from scipy.linalg import cho_solve
+
+        rng = np.random.default_rng(11)
+        components = []
+        for _ in range(3):
+            b = rng.standard_normal((4, 4))
+            components.append((1.0, rng.standard_normal(4), b @ b.T + 0.3 * np.eye(4)))
+        law = se.make_gaussian_mixture(components)
+        a = np.linalg.qr(rng.standard_normal((4, 2)))[0].T
+        parts = estimators._conditional_parts(law, a)
+        assert len(parts) == len(law._groups) == 3
+        for cov, (gain, _) in zip(law.covs, parts):
+            chol = np.linalg.cholesky(a @ cov @ a.T)
+            want = cho_solve((chol, True), a @ cov).T
+            assert np.max(np.abs(gain - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_rejects_rank_deficient(self):
         with pytest.raises(se.RankDeficientError):

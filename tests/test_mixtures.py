@@ -163,6 +163,18 @@ def _shifted(law, offset):
     )
 
 
+def _correlated_groups(n, groups, seed):
+    """Non-diagonal law: one component per entry of ``groups``, which names its covariance."""
+    rng = np.random.default_rng(seed)
+    covs = []
+    for _ in range(max(groups) + 1):
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        covs.append(q @ np.diag(rng.uniform(0.5, 2.0, n)) @ q.T)
+    return se.make_gaussian_mixture(
+        [(rng.uniform(0.5, 1.5), rng.standard_normal(n), covs[g]) for g in groups]
+    )
+
+
 KERNEL_LAWS = {
     **{f"bimodal-n{n}": se.bimodal_product(n) for n in range(1, 9)},
     "gaussian-iid-n3": se.gaussian_iid(3),
@@ -182,9 +194,16 @@ KERNEL_LAWS = {
     ),
     # 9 components in 4 covariance groups of 4, 2, 2 and 1
     "rotated-trimodal": se.rotated_iid_construction(se.trimodal_1d()),
+    # 5 components in 3 groups of full 8x8 covariances
+    "correlated-groups-n8": _correlated_groups(8, (0, 1, 2, 0, 1), seed=8),
 }
 # covariance groups of the laws with more than one
-GROUP_COUNTS = {"trimodal-1d": 2, "mixed-covariances-2d": 2, "rotated-trimodal": 4}
+GROUP_COUNTS = {
+    "trimodal-1d": 2,
+    "mixed-covariances-2d": 2,
+    "rotated-trimodal": 4,
+    "correlated-groups-n8": 3,
+}
 
 
 def _assert_close(got, want, name):

@@ -25,7 +25,8 @@ for name, law in laws.items():
     report = se.verify_main(law, budget)
     print(f"\n{name}")
     print(f"  h(sum/sqrt n) = {report.lhs.value:.5f}  (quadrature)")
-    print(f"  h(X)/n        = {report.rhs:.5f}  (Monte Carlo, {report.budget} samples)")
+    print(f"  h(X)/n        = {report.rhs:.5f}  (marginal quadratures minus a total "
+          f"correlation; {report.budget} samples when the law is not a product)")
     print(f"  gap = {report.gap:+.5f} +/- {report.sigma:.5f}  ->  {report.verdict}")
 
 print("\n" + "=" * 70)

@@ -50,6 +50,7 @@ from .estimators import (
     QuadratureSpec,
     ScoreProjectionReport,
     cross_term_mc,
+    entropy_decomposed,
     entropy_knn,
     entropy_mc,
     entropy_quadrature_1d,
@@ -89,6 +90,7 @@ from .mixtures import (
     SymmetryReport,
     check_symmetry,
     convolve_isotropic,
+    coordinate_marginals,
     law_fingerprint,
     make_gaussian_mixture,
     mixture_from_json,

@@ -32,7 +32,8 @@ class NegativeTimeError(SymentropyError):
 
 
 class DimensionTooLargeError(SymentropyError):
-    """Sign-reflection symmetrization is guarded to n <= 12."""
+    """A dimension above a supported limit: n <= 12 for sign-reflection
+    symmetrization, and n <= ``mixtures.MAX_DIM`` (512) for any law."""
 
 
 class NotSymmetricBaseError(SymentropyError):

@@ -23,6 +23,7 @@ from .errors import (
 from .estimators import (
     EntropyEstimate,
     cross_term_mc,
+    entropy_decomposed,
     entropy_mc,
     fisher_mc,
     mixed_partial_independence,
@@ -135,7 +136,7 @@ def verify_main(mix, budget=Budget()):
     _require_symmetric(mix, budget.seed)
     n = mix.dim
     lhs = projection_entropy(mix, _ones_direction(n))
-    hx = entropy_mc(mix, budget.samples, budget.seed)
+    hx = entropy_decomposed(mix, budget.samples, budget.seed)
     sigma = math.hypot(lhs.stderr, hx.stderr / n)
     return _inequality("thm_main", lhs, hx.value / n, sigma, mix, budget)
 
@@ -155,7 +156,7 @@ def verify_directional(mix, a, budget=Budget()):
     _require_symmetric(mix, budget.seed)
     n = mix.dim
     lhs = projection_entropy(mix, a)
-    hx = entropy_mc(mix, budget.samples, budget.seed)
+    hx = entropy_decomposed(mix, budget.samples, budget.seed)
     rhs = _directional_bound(hx.value, a)
     notes = ("sign_convention=prod|a_i| (sign flips of a preserve the law of a.X)",)
     if rhs == float("-inf"):
@@ -177,7 +178,7 @@ def verify_kdim(mix, projection, budget=Budget()):
     _require_symmetric(mix, budget.seed)
     k, n = matrix.shape
     lhs = entropy_mc(push_forward_linear(mix, matrix), budget.samples, budget.seed)
-    hx = entropy_mc(mix, budget.samples, budget.seed)
+    hx = entropy_decomposed(mix, budget.samples, budget.seed)
     sigma = math.hypot(lhs.stderr, (k / n) * hx.stderr)
     notes = (f"projection_shape={k}x{n}",)
     return _inequality("thm_kdim", lhs, (k / n) * hx.value, sigma, mix, budget, notes=notes)
@@ -214,7 +215,7 @@ def equality_demo_n2(base, budget=Budget()):
     """Demonstrate h((X1+X2)/sqrt 2) = h(X)/2 for X built from i.i.d. symmetric parts."""
     law = rotated_iid_construction(base)
     lhs = projection_entropy(law, _ones_direction(2))
-    h2 = entropy_mc(law, budget.samples, budget.seed)
+    h2 = entropy_decomposed(law, budget.samples, budget.seed, basis=ROTATION_2D)
     gap = lhs.value - h2.value / 2.0
     sigma = math.hypot(lhs.stderr, h2.stderr / 2.0)
     z_law = push_forward_linear(law, ROTATION_2D.T)
@@ -345,8 +346,10 @@ def direction_scan(mix, resolution=90, budget=Budget()):
     """Tabulate h(a . X) with its lower-bound certificate over a direction grid.
 
     Restricted to the positive orthant: the symmetric law makes h(a . X)
-    invariant to coordinate sign flips of a.  Reports the grid argmax; no
-    claim is made that the maximum sits at the diagonal direction.
+    invariant to coordinate sign flips of a.  Reports the grid argmax, the
+    first row in grid order whose entropy is within its quadrature stderr
+    of the largest; no claim is made that the maximum sits at the diagonal
+    direction.
     """
     if mix.dim not in (2, 3):
         raise UnsupportedDimensionError(f"scan supports n in {{2, 3}} (got {mix.dim})")
@@ -355,11 +358,12 @@ def direction_scan(mix, resolution=90, budget=Budget()):
         raise ValueError(f"resolution: must be >= 1 (got {resolution})")
     _require_symmetric(mix, budget.seed)
     n = mix.dim
-    hx = entropy_mc(mix, budget.samples, budget.seed)
-    rows = []
+    hx = entropy_decomposed(mix, budget.samples, budget.seed)
+    rows, quadrature_stderrs = [], []
     for a in _scan_directions(n, resolution):
         a = a / np.linalg.norm(a)
         est = projection_entropy(mix, a)
+        quadrature_stderrs.append(est.stderr)
         bound = _directional_bound(hx.value, a)
         stderr = math.hypot(est.stderr, hx.stderr / n)
         margin = est.value - bound
@@ -373,7 +377,13 @@ def direction_scan(mix, resolution=90, budget=Budget()):
                 verdict=_verdict(margin, stderr, budget.tol_sigma),
             )
         )
-    best = max(range(len(rows)), key=lambda r: rows[r].entropy)
+    # first in grid order among the rows within their own quadrature
+    # stderr of the top entropy, so mirror rows of a symmetric law cannot
+    # hand the argmax to rounding
+    top = max(row.entropy for row in rows)
+    best = next(
+        r for r, row in enumerate(rows) if row.entropy >= top - quadrature_stderrs[r]
+    )
     return DirectionScanReport(
         rows=tuple(rows),
         joint_entropy=hx,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EntropyEstimate, fisher_mc
+from .estimators import EntropyEstimate, fisher_mc, floored_stderr
 from .mixtures import convolve_isotropic
 from .streams import split_seed
 
@@ -136,5 +136,5 @@ def entropy_via_debruijn(mix, nodes=48, count=20000, seed=0):
     value, mc_se = _debruijn_sum(mix, nodes, count, seed)
     value_half, _ = _debruijn_sum(mix, max(16, nodes // 2), count, seed)
     quad_se = abs(value - value_half)
-    stderr = max(math.hypot(mc_se, quad_se), 1e-12 * (1.0 + abs(value)))
+    stderr = floored_stderr(math.hypot(mc_se, quad_se), value)
     return EntropyEstimate(value, stderr, "debruijn", nodes * count)

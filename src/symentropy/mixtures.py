@@ -22,6 +22,7 @@ All log-densities and entropies are in nats.
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -399,6 +400,48 @@ def symmetrize(mix, max_dim=12):
                 merged[key] = [w * scale, mean_r, cov_r]
     items = sorted(merged.items(), key=lambda kv: kv[0])
     return make_gaussian_mixture([(w, m, c) for w, m, c in (v for _, v in items)])
+
+
+def coordinate_marginals(mix):
+    """The n 1-D coordinate marginals of a mixture, and whether it is their product.
+
+    Marginal i has the components ``(w_k, mu_k[i], Sigma_k[i, i])``, those
+    equal at the rounding :func:`symmetrize` merges by summed into one, in
+    ascending ``(mean, var)`` order.  The flag is True exactly when, at that
+    rounding, every covariance is diagonal, the distinct components are all
+    the combinations of marginal components, and each one's weight is the
+    product of its marginals' weights.  No sampling: one sort of the K
+    components per coordinate and one of their label tuples.
+    """
+    variances = np.diagonal(mix.covs, axis1=1, axis2=2)
+    keys = np.round(np.stack([mix.means, variances], axis=2) + 0.0, _MERGE_DECIMALS)
+    marginals, labels = [], []
+    for i in range(mix.dim):
+        _, first, label = np.unique(
+            keys[:, i], axis=0, return_index=True, return_inverse=True
+        )
+        label = label.reshape(-1)
+        marginals.append(
+            GaussianMixture(
+                np.bincount(label, weights=mix.weights),
+                mix.means[first, i][:, None],
+                mix.covs[first, i, i][:, None, None],
+            )
+        )
+        labels.append(label)
+    # one covariance per group: the components of a group share it bit for bit
+    shared = mix.covs[[mix._order[g.span.start] for g in mix._groups]]
+    off_diagonal = shared - shared * np.eye(mix.dim)
+    if np.any(np.round(off_diagonal, _MERGE_DECIMALS)):
+        return marginals, False
+    combos, joint = np.unique(np.column_stack(labels), axis=0, return_inverse=True)
+    if len(combos) != math.prod(m.n_components for m in marginals):
+        return marginals, False
+    joint_weights = np.bincount(joint.reshape(-1), weights=mix.weights)
+    product_weights = np.prod(
+        [m.weights[combos[:, i]] for i, m in enumerate(marginals)], axis=0
+    )
+    return marginals, not np.any(np.round(joint_weights - product_weights, _MERGE_DECIMALS))
 
 
 def check_symmetry(d, probes=32, seed=0, tol=1e-8):

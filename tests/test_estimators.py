@@ -87,6 +87,75 @@ class TestEntropyQuadrature:
         assert est.value == pytest.approx(HALF_LOG_2PIE, abs=1e-9)
 
 
+class TestEntropyDecomposed:
+    @pytest.mark.parametrize(
+        "law",
+        [se.bimodal_product(1), se.bimodal_product(3), se.gaussian_iid(3), se.gaussian_iid(64)],
+    )
+    def test_product_laws_are_sums_of_marginal_quadratures(self, law):
+        est = se.entropy_decomposed(law, 1000, 0)
+        marginals, _ = se.coordinate_marginals(law)
+        assert est.method == "decomposed"
+        assert est.count == 0
+        assert est.value == math.fsum(se.entropy_quadrature_1d(m).value for m in marginals)
+
+    def test_gaussian_iid_closed_form(self):
+        est = se.entropy_decomposed(se.gaussian_iid(3, 2.0), 1000, 0)
+        assert abs(est.value - gaussian_entropy(3, 2.0)) <= 3 * est.stderr
+
+    def test_bimodal_n8_joint_entropy_gate(self):
+        # the benchmark's verify-n8 gate: 8 rhs within 3 sigma of 8 h(bimodal),
+        # with h(X)'s stderr recovered from the report's combined sigma
+        report = se.verify_main(se.bimodal_product(8), se.Budget(seed=0))
+        estimate = 8 * report.rhs
+        stderr = 8 * math.sqrt(max(report.sigma**2 - report.lhs.stderr**2, 0.0))
+        truth = 8 * se.entropy_quadrature_1d(se.bimodal_1d()).value
+        assert abs(estimate - truth) <= 3 * stderr
+
+    def test_rotated_bimodal_exact_in_its_rotation(self):
+        from symentropy.mixtures import ROTATION_2D
+
+        est = se.entropy_decomposed(se.rotated_bimodal(), 1000, 0, basis=ROTATION_2D)
+        assert est.count == 0
+        base = se.entropy_quadrature_1d(se.bimodal_1d()).value
+        assert est.value == pytest.approx(2 * base, abs=1e-10)
+
+    def test_non_product_draws_for_total_correlation(self):
+        est = se.entropy_decomposed(se.rotated_bimodal(), 20000, 3)
+        assert est.count == 20000
+        base = se.entropy_quadrature_1d(se.bimodal_1d()).value
+        assert abs(est.value - 2 * base) <= 4 * est.stderr
+
+    def test_total_correlation_coverage(self):
+        # h of the unit-variance bivariate normal with correlation 0.5
+        truth = 0.5 * math.log((2 * math.pi * math.e) ** 2 * 0.75)
+        law = se.correlated_gaussian(0.5)
+        z = []
+        for seed in range(50):
+            est = se.entropy_decomposed(law, 20000, seed)
+            z.append((est.value - truth) / est.stderr)
+        assert abs(np.mean(z)) < 0.5
+        assert 0.7 < np.std(z, ddof=1) < 1.3
+
+    def test_scaled_basis_takes_log_determinant(self):
+        est = se.entropy_decomposed(se.gaussian_iid(2), 1000, 0, basis=2.0 * np.eye(2))
+        assert est.value == pytest.approx(gaussian_entropy(2, 1.0), abs=1e-10)
+
+    def test_rejects_non_square_basis(self):
+        with pytest.raises(se.DimensionMismatchError):
+            se.entropy_decomposed(se.gaussian_iid(2), 1000, 0, basis=np.eye(2)[:1])
+
+    def test_count_validation(self):
+        with pytest.raises(ValueError, match="count"):
+            se.entropy_decomposed(se.gaussian_iid(2), 50, 0)
+
+
+class TestRoundingFloor:
+    def test_floor_scales_with_value(self):
+        assert estimators.floored_stderr(0.0, 5.0) == 1e-12 * 6.0
+        assert estimators.floored_stderr(0.25, 5.0) == 0.25
+
+
 class TestEntropyKnn:
     def test_standard_normal_1d(self):
         x = se.gaussian_iid(1).sample(100000, 3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import symentropy as se
+from symentropy import harness
 from symentropy.harness import HOLDS, HOLDS_WITH_EQUALITY, VIOLATED
 
 BUDGET = se.Budget(samples=100000, seed=0)
@@ -143,6 +144,13 @@ class TestEqualityDemo:
         report = se.equality_demo_n2(se.trimodal_1d(), BUDGET)
         assert report.verdict == HOLDS_WITH_EQUALITY
 
+    @pytest.mark.parametrize("seed", [4, 188, 269])
+    def test_bimodal_base_exact_at_unlucky_seeds(self, seed):
+        # these seeds' draws put plain Monte Carlo h(X) beyond 3 sigma
+        report = se.equality_demo_n2(se.bimodal_1d(), se.Budget(seed=seed))
+        assert report.verdict == HOLDS_WITH_EQUALITY
+        assert report.gap == 0.0
+
     def test_rejects_asymmetric_base(self):
         shifted = se.make_gaussian_mixture([(1.0, [1.0], [[1.0]])])
         with pytest.raises(se.NotSymmetricBaseError):
@@ -197,6 +205,23 @@ class TestDirectionScan:
         report = se.direction_scan(se.bimodal_product(2), resolution=10, budget=BUDGET)
         best = max(report.rows, key=lambda r: r.entropy)
         assert report.argmax_direction == best.direction
+
+    def test_argmax_tie_reports_first_row(self, monkeypatch):
+        # the later row is one ulp larger, far inside its quadrature stderr
+        values = iter([1.0, float(np.nextafter(1.0, 2.0)), 0.5])
+        monkeypatch.setattr(
+            harness,
+            "projection_entropy",
+            lambda mix, a: se.EntropyEstimate(next(values), 1e-12, "quadrature_1d", 512),
+        )
+        report = se.direction_scan(se.gaussian_iid(2), resolution=3, budget=BUDGET)
+        assert report.rows[1].entropy > report.rows[0].entropy
+        assert report.argmax_direction == report.rows[0].direction
+
+    def test_joint_entropy_exact_on_product_law(self):
+        report = se.direction_scan(se.bimodal_product(3), resolution=5, budget=BUDGET)
+        assert report.joint_entropy.method == "decomposed"
+        assert report.joint_entropy.count == 0
 
     def test_csv_shape(self):
         report = se.direction_scan(se.gaussian_iid(3), resolution=7, budget=BUDGET)

@@ -337,6 +337,68 @@ class TestPushForward:
             se.push_forward_linear(g2, np.array([[1.0, 0.0], [1.0, 1e-12]]))
 
 
+class TestCoordinateMarginals:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "bimodal-product-n1",
+            "bimodal-product-n3",
+            "bimodal-product-n8",
+            "gaussian-iid-n1",
+            "gaussian-iid-n3",
+            "gaussian-iid-n64",
+        ],
+    )
+    def test_builtin_products_factorise(self, name):
+        law = se.builtin_law(name)
+        marginals, product = se.coordinate_marginals(law)
+        assert product
+        assert len(marginals) == law.dim
+        assert all(m.dim == 1 for m in marginals)
+
+    def test_bimodal_marginals_merge_to_two_components(self):
+        marginals, _ = se.coordinate_marginals(se.bimodal_product(8))
+        base = se.bimodal_1d()
+        for m in marginals:
+            assert np.array_equal(m.weights, base.weights)
+            assert np.array_equal(m.means, base.means)
+            assert np.array_equal(m.covs, base.covs)
+
+    def test_rotated_bimodal_factorises_in_its_rotation(self):
+        z_law = se.push_forward_linear(se.rotated_bimodal(), ROTATION_2D.T)
+        marginals, product = se.coordinate_marginals(z_law)
+        assert product
+        assert [m.n_components for m in marginals] == [2, 2]
+
+    def test_rotated_bimodal_does_not_factorise_in_identity(self):
+        assert not se.coordinate_marginals(se.rotated_bimodal())[1]
+
+    def test_correlated_gaussian_does_not_factorise(self):
+        assert not se.coordinate_marginals(se.correlated_gaussian(0.5))[1]
+
+    def test_moved_weight_breaks_product(self):
+        components = se.bimodal_product(3).components
+        w, mean, cov = components[0]
+        components[0] = (w + 1e-6, mean, cov)
+        assert not se.coordinate_marginals(se.make_gaussian_mixture(components))[1]
+
+    def test_missing_combination_breaks_product(self):
+        # diagonal covariances, but only 2 of the 4 combinations of marginal means
+        law = se.make_gaussian_mixture(
+            [(0.5, [-2.0, -2.0], np.eye(2)), (0.5, [2.0, 2.0], np.eye(2))]
+        )
+        assert not se.coordinate_marginals(law)[1]
+
+    def test_marginal_densities_match_projections(self):
+        law = se.symmetrize(se.rotated_bimodal())
+        marginals, _ = se.coordinate_marginals(law)
+        x = np.linspace(-6.0, 6.0, 41)[:, None]
+        for i, m in enumerate(marginals):
+            projected = se.push_forward_linear(law, np.eye(2)[i : i + 1])
+            assert m.n_components < projected.n_components
+            assert np.allclose(m.log_density(x), projected.log_density(x), rtol=0, atol=1e-12)
+
+
 class TestConvolve:
     def test_standard_normal_plus_unit_time(self):
         out = se.convolve_isotropic(se.gaussian_iid(1), 1.0)

@@ -43,9 +43,6 @@ HOLDS_WITH_EQUALITY = "holds_with_equality"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 
-_SYMMETRY_PROBES = 16
-_SYMMETRY_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class Budget:
@@ -110,11 +107,11 @@ def _inequality(statement, lhs, rhs, sigma, mix, budget, direction=1, notes=()):
     )
 
 
-def _require_symmetric(mix, seed):
-    report = check_symmetry(mix, probes=_SYMMETRY_PROBES, seed=seed, tol=_SYMMETRY_TOL)
-    if not report.verdict:
+def _require_symmetric(mix):
+    asymmetric = check_symmetry(mix).asymmetric_coordinates
+    if asymmetric:
         raise NotSymmetricError(
-            f"law violates coordinate-sign symmetry by {report.max_violation:.3e}; "
+            f"law changes under the sign flip of coordinate(s) {list(asymmetric)}; "
             "use asymmetric_counterexample for laws outside the symmetric class"
         )
 
@@ -133,7 +130,7 @@ def _ones_direction(n):
 
 def verify_main(mix, budget=Budget()):
     """Check h(sum_i X_i / sqrt n) >= h(X) / n for a symmetric law."""
-    _require_symmetric(mix, budget.seed)
+    _require_symmetric(mix)
     n = mix.dim
     lhs = projection_entropy(mix, _ones_direction(n))
     hx = entropy_decomposed(mix, budget.samples, budget.seed)
@@ -153,7 +150,7 @@ def verify_directional(mix, a, budget=Budget()):
     norm = float(np.linalg.norm(a))
     if abs(norm - 1.0) > 1e-10:
         raise NotUnitVectorError(f"direction: norm {norm} differs from 1 by > 1e-10")
-    _require_symmetric(mix, budget.seed)
+    _require_symmetric(mix)
     n = mix.dim
     lhs = projection_entropy(mix, a)
     hx = entropy_decomposed(mix, budget.samples, budget.seed)
@@ -175,7 +172,7 @@ def verify_kdim(mix, projection, budget=Budget()):
             f"projection is not balanced: row-gram deviation {report.row_gram_dev:.3e}, "
             f"column-norm deviation {report.col_norm_dev:.3e}"
         )
-    _require_symmetric(mix, budget.seed)
+    _require_symmetric(mix)
     k, n = matrix.shape
     lhs = entropy_mc(push_forward_linear(mix, matrix), budget.samples, budget.seed)
     hx = entropy_decomposed(mix, budget.samples, budget.seed)
@@ -186,7 +183,7 @@ def verify_kdim(mix, projection, budget=Budget()):
 
 def verify_fisher_lemma(mix, budget=Budget()):
     """Check I(sum_i X_i / sqrt n) <= I(X) / n for a symmetric law."""
-    _require_symmetric(mix, budget.seed)
+    _require_symmetric(mix)
     n = mix.dim
     y_mix = push_forward_linear(mix, _ones_direction(n)[None, :])
     lhs = fisher_mc(y_mix, budget.samples, budget.seed)
@@ -222,9 +219,7 @@ def equality_demo_n2(base, budget=Budget()):
     independence = mixed_partial_independence(
         z_law, 0, probes=32, seed=split_seed(budget.seed, 1)
     )
-    coordinate_symmetry = check_symmetry(
-        z_law, probes=_SYMMETRY_PROBES, seed=budget.seed, tol=_SYMMETRY_TOL
-    )
+    coordinate_symmetry = check_symmetry(z_law)
     return EqualityDemoReport(
         gap=gap,
         sigma=sigma,
@@ -356,7 +351,7 @@ def direction_scan(mix, resolution=90, budget=Budget()):
     resolution = int(resolution)
     if resolution < 1:
         raise ValueError(f"resolution: must be >= 1 (got {resolution})")
-    _require_symmetric(mix, budget.seed)
+    _require_symmetric(mix)
     n = mix.dim
     hx = entropy_decomposed(mix, budget.samples, budget.seed)
     rows, quadrature_stderrs = [], []
@@ -413,7 +408,7 @@ def asymmetric_counterexample(rho=-0.9):
     lhs_value = 0.5 * math.log(2.0 * math.pi * math.e * var_sum)
     hx = 0.5 * math.log((2.0 * math.pi * math.e) ** 2 * (1.0 - rho * rho))
     lhs = EntropyEstimate(lhs_value, 0.0, "quadrature_1d", 0)
-    sym = check_symmetry(mix, probes=_SYMMETRY_PROBES, seed=0, tol=_SYMMETRY_TOL)
+    sym = check_symmetry(mix)
     notes = (
         "closed_form=true",
         f"symmetric={sym.verdict}",

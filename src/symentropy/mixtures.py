@@ -272,12 +272,10 @@ class DensityModel:
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Worst log-density mismatch between sign reflections of probe points."""
+    """Whether the law is sign-symmetric, and the coordinates whose flip changes it."""
 
-    max_violation: float
-    probe_count: int
     verdict: bool
-    tol: float
+    asymmetric_coordinates: tuple
 
 
 def make_gaussian_mixture(components):
@@ -364,8 +362,12 @@ def convolve_isotropic(mix, t):
 
 
 def _rounded(a):
-    # +0.0 turns -0.0 into +0.0 so reflected zeros fingerprint identically
-    return tuple(np.round(a + 0.0, _MERGE_DECIMALS).ravel().tolist())
+    """``a`` at ``_MERGE_DECIMALS`` decimals: the one rule for equal components.
+
+    ``+ 0.0`` after rounding turns ``-0.0`` into ``+0.0``, so rounded arrays
+    that are equal by value are equal as bytes too.
+    """
+    return np.round(a, _MERGE_DECIMALS) + 0.0
 
 
 def symmetrize(mix, max_dim=12):
@@ -391,9 +393,9 @@ def symmetrize(mix, max_dim=12):
             s = np.asarray(signs)
             mean_r = s * mu
             cov_r = cov * np.outer(s, s)
-            cov_key = _rounded(cov_r)
+            cov_key = tuple(_rounded(cov_r).ravel().tolist())
             cov_r = covs.setdefault(cov_key, cov_r)
-            key = _rounded(mean_r) + cov_key
+            key = tuple(_rounded(mean_r).tolist()) + cov_key
             if key in merged:
                 merged[key][0] += w * scale
             else:
@@ -414,7 +416,7 @@ def coordinate_marginals(mix):
     components per coordinate and one of their label tuples.
     """
     variances = np.diagonal(mix.covs, axis1=1, axis2=2)
-    keys = np.round(np.stack([mix.means, variances], axis=2) + 0.0, _MERGE_DECIMALS)
+    keys = _rounded(np.stack([mix.means, variances], axis=2))
     marginals, labels = [], []
     for i in range(mix.dim):
         _, first, label = np.unique(
@@ -432,7 +434,7 @@ def coordinate_marginals(mix):
     # one covariance per group: the components of a group share it bit for bit
     shared = mix.covs[[mix._order[g.span.start] for g in mix._groups]]
     off_diagonal = shared - shared * np.eye(mix.dim)
-    if np.any(np.round(off_diagonal, _MERGE_DECIMALS)):
+    if np.any(_rounded(off_diagonal)):
         return marginals, False
     combos, joint = np.unique(np.column_stack(labels), axis=0, return_inverse=True)
     if len(combos) != math.prod(m.n_components for m in marginals):
@@ -441,79 +443,68 @@ def coordinate_marginals(mix):
     product_weights = np.prod(
         [m.weights[combos[:, i]] for i, m in enumerate(marginals)], axis=0
     )
-    return marginals, not np.any(np.round(joint_weights - product_weights, _MERGE_DECIMALS))
+    return marginals, not np.any(_rounded(joint_weights - product_weights))
 
 
-def check_symmetry(d, probes=32, seed=0, tol=1e-8):
-    """Compare log f at the single-coordinate sign flips of sampled probes.
+def check_symmetry(mix):
+    """Find the coordinates whose sign flip changes a mixture, from its components.
 
-    Reports the largest deviation of ``log f(S_i x)`` from ``log f(x)`` over
-    the n flips ``S_i`` of one coordinate; a symmetric law shows only
-    rounding noise.  The single flips generate the whole sign group, so
-    invariance under them is invariance under every sign pattern, at a
-    cost of ``probes * (n + 1)`` density evaluations.
+    Finite Gaussian mixtures are identifiable (Teicher 1963), so the flip
+    ``S_i`` of coordinate i leaves the law unchanged exactly when it maps the
+    multiset of components ``(w, mu, Sigma)`` onto itself as
+    ``(w, S_i mu, S_i Sigma S_i)``.  Components equal at :func:`_rounded`
+    are merged by summing their weights, which are then rounded the same
+    way.  Only the components that flip i moves, those with a nonzero
+    ``mu_i`` or off-diagonal ``Sigma[i, j]``, need a matching image.  The
+    single flips generate the whole sign group, so the law is symmetric when
+    no coordinate is reported.  No sampling and no density evaluation.
     """
-    probes = int(probes)
-    if probes < 1:
-        raise ValueError(f"probes: must be >= 1 (got {probes})")
-    n = d.dim
-    x = np.asarray(d.sample(probes, seed), dtype=float)
-    flipped = np.repeat(x[None, :, :], n + 1, axis=0)
-    for i in range(n):
-        flipped[i + 1, :, i] *= -1.0
-    lf = np.asarray(d.log_density(flipped.reshape(-1, n))).reshape(n + 1, probes)
-    max_violation = float(np.max(np.abs(lf[1:] - lf[0])))
-    return SymmetryReport(max_violation, probes, bool(max_violation <= tol), float(tol))
+    n = mix.dim
+    # one row [mu | Sigma] per component; rows equal at _rounded merge
+    table = _rounded(np.column_stack([mix.means, mix.covs.reshape(-1, n * n)]))
+    row = np.dtype((np.void, table.shape[1] * table.itemsize))
+    keys, first, label = np.unique(
+        table.view(row).ravel(), return_index=True, return_inverse=True
+    )
+    weights = _rounded(np.bincount(label.reshape(-1), weights=mix.weights))
+    table = table[first]
+    covs = table[:, n:].reshape(-1, n, n)
+    moved = (table[:, :n] != 0.0) | (covs - covs * np.eye(n)).any(axis=2)
+    asymmetric = []
+    for i in np.flatnonzero(moved.any(axis=0)):
+        s = np.ones(n)
+        s[i] = -1.0
+        image = table[moved[:, i]] * np.concatenate([s, np.outer(s, s).ravel()]) + 0.0
+        at = np.minimum(np.searchsorted(keys, image.view(row).ravel()), len(keys) - 1)
+        if not (
+            np.array_equal(table[at], image)
+            and np.array_equal(weights[at], weights[moved[:, i]])
+        ):
+            asymmetric.append(int(i))
+    return SymmetryReport(not asymmetric, tuple(asymmetric))
 
 
 ROTATION_2D = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
 
 
-def rotated_iid_construction(base, probes=64, seed=0, tol=1e-8):
-    """2-D law ``X = A Z`` with ``Z`` a pair of i.i.d. copies of ``base``.
+def rotated_iid_construction(base):
+    """2-D mixture ``X = A Z`` with ``Z`` a pair of i.i.d. copies of a 1-D mixture.
 
     ``A`` is the 45-degree rotation, so ``(X1 + X2)/sqrt(2)`` recovers the
     base law exactly and the joint density factorizes as
-    ``f(x) = f_base((x1+x2)/sqrt 2) * f_base((x1-x2)/sqrt 2)``.
-    Mixture bases stay mixtures (product components, then pushforward).
+    ``f(x) = f_base((x1+x2)/sqrt 2) * f_base((x1-x2)/sqrt 2)``.  The law is
+    the pushforward of the product components.
     """
     if base.dim != 1:
         raise NotUnivariateError(f"base law must be 1-D (got dim {base.dim})")
-    report = check_symmetry(base, probes=probes, seed=seed, tol=tol)
-    if not report.verdict:
-        raise NotSymmetricBaseError(
-            f"base law violates symmetry by {report.max_violation:.3e} (tol {tol})"
-        )
-    if isinstance(base, GaussianMixture):
-        product = [
-            (wi * wj, np.array([mi[0], mj[0]]), np.diag([ci[0, 0], cj[0, 0]]))
-            for wi, mi, ci in zip(base.weights, base.means, base.covs)
-            for wj, mj, cj in zip(base.weights, base.means, base.covs)
-        ]
-        return push_forward_linear(make_gaussian_mixture(product), ROTATION_2D)
-
-    def log_density(x):
-        single = x.ndim == 1
-        x2 = np.atleast_2d(x)
-        z = x2 @ ROTATION_2D  # rows of z are A^T x
-        lf = np.asarray(base.log_density(z[:, :1])) + np.asarray(base.log_density(z[:, 1:]))
-        return float(lf[0]) if single else lf
-
-    def score(x):
-        single = x.ndim == 1
-        x2 = np.atleast_2d(x)
-        z = x2 @ ROTATION_2D
-        rho = np.column_stack(
-            [np.asarray(base.score(z[:, :1])).ravel(), np.asarray(base.score(z[:, 1:])).ravel()]
-        )
-        out = rho @ ROTATION_2D.T
-        return out[0] if single else out
-
-    def sampler(count, seed_):
-        z = np.asarray(base.sample(2 * count, seed_)).reshape(count, 2)
-        return z @ ROTATION_2D.T
-
-    return DensityModel(2, log_density, score, sampler)
+    if not check_symmetry(base).verdict:
+        raise NotSymmetricBaseError("base law changes under the sign flip of coordinate 0")
+    product = [
+        (wi * wj, np.array([mi[0], mj[0]]), np.diag([ci[0, 0], cj[0, 0]]))
+        for wi, mi, ci in zip(base.weights, base.means, base.covs)
+        for wj, mj, cj in zip(base.weights, base.means, base.covs)
+    ]
+    return push_forward_linear(make_gaussian_mixture(product), ROTATION_2D)
 
 
 def sample(d, count, seed):

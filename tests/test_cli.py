@@ -65,6 +65,20 @@ class TestVerifyCommand:
         assert status == 0
         assert json.loads(text)["verdict"] in ("holds", "holds_with_equality")
 
+    def test_hidden_asymmetric_component_exits_2(self, tmp_path, capsys):
+        # symmetric near the origin; only a 1e-9-weight component at (60, 0) breaks it
+        law_file = tmp_path / "hidden.json"
+        law_file.write_text(
+            se.mixture_to_json(
+                se.make_gaussian_mixture(
+                    [(1.0, [0.0, 0.0], np.eye(2)), (1e-9, [60.0, 0.0], np.eye(2))]
+                )
+            )
+        )
+        status, text = invoke(tmp_path, "verify", "--law", str(law_file), "--samples", "1000")
+        assert status == 2 and text is None
+        assert "coordinate(s) [0]" in capsys.readouterr().err
+
     def test_unknown_builtin_exits_2(self, capsys):
         status = main(["verify", "--law", "builtin:warped-cube"])
         assert status == 2

@@ -7,7 +7,7 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 import symentropy as se
-from symentropy.mixtures import ROTATION_2D
+from symentropy.mixtures import ROTATION_2D, _rounded
 
 HALF_LOG_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 
@@ -451,7 +451,7 @@ class TestSymmetrize:
         assert np.allclose(out.weights, [0.5, 0.5])
         offdiags = np.sort([c[0, 1] for c in out.covs])
         assert np.allclose(offdiags, [-0.9, 0.9])
-        assert se.check_symmetry(out).max_violation <= 1e-10
+        assert se.check_symmetry(out).verdict
 
     def test_dimension_guard(self):
         with pytest.raises(se.DimensionTooLargeError):
@@ -461,39 +461,85 @@ class TestSymmetrize:
     @given(small_mixtures())
     def test_output_is_symmetric(self, law):
         out = se.symmetrize(law)
-        assert se.check_symmetry(out, probes=16, seed=1).max_violation <= 1e-10
+        assert se.check_symmetry(out).asymmetric_coordinates == ()
+
+
+def _merged_components(law):
+    """{(rounded mean, rounded cov): rounded summed weight} of a mixture."""
+    merged = {}
+    for w, mean, cov in law.components:
+        key = tuple(_rounded(mean).tolist()) + tuple(_rounded(cov).ravel().tolist())
+        merged[key] = merged.get(key, 0.0) + w
+    return {key: float(_rounded(w)) for key, w in merged.items()}
+
+
+# law and the coordinates whose sign flip changes it
+SYMMETRY_CASES = {
+    # symmetric near the origin; only a 1e-9-weight component at (60, 0) breaks it
+    "hidden-component": (
+        se.make_gaussian_mixture(
+            [(1.0, [0.0, 0.0], np.eye(2)), (1e-9, [60.0, 0.0], np.eye(2))]
+        ),
+        (0,),
+    ),
+    "split-duplicates": (
+        se.make_gaussian_mixture(
+            [(0.3, [1.0], [[1.0]]), (0.2, [1.0], [[1.0]]), (0.5, [-1.0], [[1.0]])]
+        ),
+        (),
+    ),
+    "unequal-mirror-weights": (
+        se.make_gaussian_mixture([(0.3, [1.0], [[1.0]]), (0.7, [-1.0], [[1.0]])]),
+        (0,),
+    ),
+    # its off-diagonals carry -2.2e-17 residues, which round to -0.0
+    "rotated-bimodal": (se.rotated_bimodal(), ()),
+    "symmetrized-rotated-bimodal": (se.symmetrize(se.rotated_bimodal()), ()),
+}
 
 
 class TestCheckSymmetry:
     def test_standard_normal(self):
         report = se.check_symmetry(se.gaussian_iid(3))
-        assert report.verdict and report.max_violation <= 1e-12
+        assert report.verdict and report.asymmetric_coordinates == ()
 
     def test_correlated_gaussian_fails(self):
-        assert not se.check_symmetry(se.correlated_gaussian(-0.9)).verdict
-
-    def test_probe_validation(self):
-        with pytest.raises(ValueError, match="probes"):
-            se.check_symmetry(se.gaussian_iid(1), probes=0)
-
-    def test_evaluates_single_flips_only(self):
-        law = se.gaussian_iid(12)
-        seen = []
-
-        def log_density(x):
-            seen.append(np.atleast_2d(x).shape[0])
-            return law.log_density(x)
-
-        counting = se.DensityModel(law.dim, log_density, law.score, law.sample)
-        report = se.check_symmetry(counting, probes=16)
-        assert report.verdict and report.max_violation <= 1e-12
-        assert sum(seen) <= 16 * (12 + 1)
+        report = se.check_symmetry(se.correlated_gaussian(-0.9))
+        assert not report.verdict and report.asymmetric_coordinates == (0, 1)
 
     def test_detects_asymmetry_in_one_coordinate(self):
         # symmetric in the first two coordinates, shifted in the third
         law = se.make_gaussian_mixture([(1.0, [0.0, 0.0, 0.5], np.eye(3))])
         report = se.check_symmetry(law)
-        assert not report.verdict and report.max_violation > 1e-3
+        assert not report.verdict and report.asymmetric_coordinates == (2,)
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRY_CASES))
+    def test_asymmetric_coordinates(self, name):
+        law, asymmetric = SYMMETRY_CASES[name]
+        report = se.check_symmetry(law)
+        assert report.asymmetric_coordinates == asymmetric
+        assert report.verdict == (asymmetric == ())
+
+    def test_draws_no_sample_and_evaluates_no_density(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("check_symmetry must not sample or evaluate densities")
+
+        monkeypatch.setattr(se.GaussianMixture, "log_density", forbidden)
+        monkeypatch.setattr(se.GaussianMixture, "sample", forbidden)
+        assert se.check_symmetry(se.gaussian_iid(12)).verdict
+        assert se.check_symmetry(se.bimodal_product(3)).verdict
+        assert not se.check_symmetry(se.correlated_gaussian(-0.9)).verdict
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_mixtures(), st.booleans())
+    def test_verdict_iff_symmetrize_keeps_the_components(self, law, presymmetrize):
+        # without presymmetrizing, a drawn law is seldom symmetric
+        if presymmetrize:
+            law = se.symmetrize(law)
+        out = se.symmetrize(law)
+        assert se.check_symmetry(law).verdict == (
+            _merged_components(out) == _merged_components(law)
+        )
 
 
 class TestRotatedIid:
@@ -524,16 +570,6 @@ class TestRotatedIid:
         h_base = se.entropy_quadrature_1d(base)
         h_proj = se.projection_entropy(law, np.array([1.0, 1.0]) / math.sqrt(2))
         assert h_proj.value == pytest.approx(h_base.value, abs=1e-9)
-
-    def test_generic_density_model_path(self):
-        base = se.bimodal_1d()
-        wrapped = se.DensityModel(1, base.log_density, base.score, base.sample)
-        law = se.rotated_iid_construction(wrapped)
-        assert isinstance(law, se.DensityModel)
-        x = np.array([0.4, -0.9])
-        mixture_law = se.rotated_iid_construction(base)
-        assert law.log_density(x) == pytest.approx(mixture_law.log_density(x), abs=1e-12)
-        assert np.allclose(law.score(x), mixture_law.score(x), atol=1e-10)
 
     def test_rejects_multivariate_base(self):
         with pytest.raises(se.NotUnivariateError):

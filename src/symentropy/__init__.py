@@ -54,7 +54,9 @@ from .estimators import (
     entropy_knn,
     entropy_mc,
     entropy_quadrature_1d,
+    entropy_quadrature_2d,
     fisher_mc,
+    fisher_quadrature,
     mixed_partial_independence,
     projection_entropy,
     score_projection_residual,

@@ -1,14 +1,16 @@
 """Entropy and Fisher-information estimators with quantified uncertainty.
 
 Three independent entropy routes (Monte Carlo on the own log-density,
-composite Gauss-Legendre quadrature for 1-D laws, and nearest-neighbor
-distances from samples alone) cross-check each other.  A fourth,
-decomposed route adds the quadrature entropies of a mixture's coordinate
-marginals and subtracts a Monte Carlo total correlation, which is exactly
-zero, with no draws, when the mixture is their product.  Alongside are Monte
-Carlo estimators for the Fisher information, score cross terms, the
-conditional-score projection identity, and a mixed-partial independence
-probe.
+composite Gauss-Legendre quadrature for 1-D laws, ``quadrature_1d``, and
+nearest-neighbor distances from samples alone) cross-check each other.  The
+same composite rule, as a tensor product, integrates 2-D mixtures
+(``quadrature_2d``), and it gives the Fisher information of 1-D and 2-D
+mixtures without draws.  A decomposed route adds the quadrature entropies of
+a mixture's coordinate marginals and subtracts a Monte Carlo total
+correlation, which is exactly zero, with no draws, when the mixture is their
+product.  Alongside are Monte Carlo estimators for the Fisher information,
+score cross terms, the conditional-score projection identity, and a
+mixed-partial independence probe.
 
 Monte Carlo estimators report stderr from the sample variance and accept
 results statistically (z-scores), never with hidden absolute tolerances.
@@ -30,7 +32,7 @@ from .errors import (
     TruncationInsufficientError,
 )
 from .mixtures import GaussianMixture, coordinate_marginals, push_forward_linear
-from .streams import mc_mean, split_seed
+from .streams import CHUNK_SIZE, mc_mean, split_seed
 
 _GL_PANEL = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_PANEL)
@@ -44,7 +46,7 @@ class EntropyEstimate:
 
     value: float
     stderr: float
-    method: str  # mc_logdensity | quadrature_1d | decomposed | knn | debruijn
+    method: str  # mc_logdensity | quadrature_1d | quadrature_2d | decomposed | knn | debruijn
     count: int
 
 
@@ -54,6 +56,7 @@ class FisherEstimate:
 
     value: float
     stderr: float
+    method: str  # mc_score | quadrature_1d | quadrature_2d
     count: int
 
 
@@ -113,7 +116,7 @@ def fisher_mc(d, count, seed):
         return np.einsum("ij,ij->i", rho, rho)
 
     value, stderr, n = mc_mean(stat, count, seed)
-    return FisherEstimate(value, stderr, n)
+    return FisherEstimate(value, stderr, "mc_score", n)
 
 
 def cross_term_mc(d, i, j, count, seed):
@@ -138,15 +141,20 @@ def cross_term_mc(d, i, j, count, seed):
     return MomentEstimate(value, stderr, n_used)
 
 
-# --- 1-D quadrature --------------------------------------------------------
+# --- composite Gauss-Legendre quadrature ------------------------------------
+
+# Panels per axis of a 2-D grid before any doubling: (8 * 16)^2 nodes.
+_PANELS_2D = 8
+
 
 def _normal_tail(z):
     return np.array([0.5 * math.erfc(v / math.sqrt(2.0)) for v in z])
 
 
 def _mixture_radius(mix):
-    stds = np.sqrt(mix.covs[:, 0, 0])
-    return float(np.max(np.abs(mix.means[:, 0])) + 8.0 * np.max(stds))
+    # R over all coordinates: the largest |mean| plus 8 of the largest std
+    stds = np.sqrt(np.diagonal(mix.covs, axis1=1, axis2=2))
+    return float(np.max(np.abs(mix.means)) + 8.0 * np.max(stds))
 
 
 def _mixture_tail_mass(mix, radius):
@@ -157,21 +165,70 @@ def _mixture_tail_mass(mix, radius):
     return float(np.sum(mix.weights * (upper + lower)))
 
 
-def _neg_f_log_f(d, x):
-    lf = np.asarray(d.log_density(x[:, None]))
+def _log_density(d, x):
+    lf = np.asarray(d.log_density(x))
     if np.any(np.isnan(lf)) or np.any(np.isposinf(lf)):
         raise NonFiniteLogDensityError("log-density NaN or +inf inside quadrature range")
-    out = np.where(np.isneginf(lf), 0.0, -np.exp(lf) * lf)
-    return out
+    return lf
 
 
-def _panel_integral(d, radius, panels):
+def _neg_f_log_f(d, x):
+    lf = _log_density(d, x)
+    return np.where(np.isneginf(lf), 0.0, -np.exp(lf) * lf)
+
+
+def _f_score_squared(d, x):
+    lf = _log_density(d, x)
+    rho = np.asarray(d.score(x))
+    if not np.all(np.isfinite(rho)):
+        raise NonFiniteScoreError("score non-finite inside quadrature range")
+    return np.exp(lf) * np.einsum("ij,ij->i", rho, rho)
+
+
+def _panel_integral(integrand, d, radius, panels):
+    # ``panels`` equal panels of 16 Gauss-Legendre nodes on [-R, R] per axis;
+    # a 2-D grid is their tensor product, taken in slabs of whole grid rows
+    # of at most CHUNK_SIZE nodes.
     edges = np.linspace(-radius, radius, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     x = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return float(w @ _neg_f_log_f(d, x))
+    if d.dim == 1:
+        rows = CHUNK_SIZE
+        parts = [
+            w[s : s + rows] @ integrand(d, x[s : s + rows, None])
+            for s in range(0, x.size, rows)
+        ]
+    else:
+        rows = max(1, CHUNK_SIZE // x.size)
+        parts = []
+        for s in range(0, x.size, rows):
+            xs = x[s : s + rows]
+            points = np.column_stack([np.repeat(xs, x.size), np.tile(x, xs.size)])
+            values = integrand(d, points).reshape(xs.size, x.size)
+            parts.append(w[s : s + rows] @ values @ w)
+    return math.fsum(parts)
+
+
+def _quadrature(integrand, d, radius, panels):
+    """Integral of ``integrand(d, points)`` over [-R, R]^dim, dim in {1, 2}.
+
+    Panels per axis double, at most 3 times, until the value agrees with the
+    one at half the panels to 1e-10 relative.  Returns the value, its stderr
+    (the last convergence difference, floored by :func:`floored_stderr`) and
+    the node count of the final grid.
+    """
+    value_half = _panel_integral(integrand, d, radius, max(2, panels // 2))
+    value = _panel_integral(integrand, d, radius, panels)
+    for _ in range(3):
+        if abs(value - value_half) <= 1e-10 * (1.0 + abs(value)):
+            break
+        panels *= 2
+        value_half = value
+        value = _panel_integral(integrand, d, radius, panels)
+    stderr = floored_stderr(abs(value - value_half), value)
+    return value, stderr, (panels * _GL_PANEL) ** d.dim
 
 
 def entropy_quadrature_1d(d, spec=None):
@@ -200,16 +257,35 @@ def entropy_quadrature_1d(d, spec=None):
         raise ValueError("radius: required for non-mixture laws")
 
     panels = max(4, int(math.ceil(spec.nodes / _GL_PANEL)))
-    value_half = _panel_integral(d, radius, max(2, panels // 2))
-    value = _panel_integral(d, radius, panels)
-    for _ in range(3):
-        if abs(value - value_half) <= 1e-10 * (1.0 + abs(value)):
-            break
-        panels *= 2
-        value_half = value
-        value = _panel_integral(d, radius, panels)
-    stderr = floored_stderr(abs(value - value_half), value)
-    return EntropyEstimate(value, stderr, "quadrature_1d", panels * _GL_PANEL)
+    value, stderr, nodes = _quadrature(_neg_f_log_f, d, radius, panels)
+    return EntropyEstimate(value, stderr, "quadrature_1d", nodes)
+
+
+def entropy_quadrature_2d(mix):
+    """Entropy of a 2-D mixture by the tensor product of the 1-D composite rule.
+
+    Integrates -f log f over the square [-R, R]^2, R = max |mean| + 8 max
+    std over both coordinates, with 8 panels of 16 nodes per axis doubled
+    as in :func:`entropy_quadrature_1d`, so the grid holds at most 1024^2
+    nodes and is evaluated CHUNK_SIZE nodes at a time.
+    """
+    if mix.dim != 2:
+        raise ValueError(f"dim: 2-D quadrature needs a 2-D law (got dim {mix.dim})")
+    value, stderr, nodes = _quadrature(_neg_f_log_f, mix, _mixture_radius(mix), _PANELS_2D)
+    return EntropyEstimate(value, stderr, "quadrature_2d", nodes)
+
+
+def fisher_quadrature(mix):
+    """Trace Fisher information of a 1-D or 2-D mixture by quadrature of f |score|^2.
+
+    The grid, radius and doubling are those of :func:`entropy_quadrature_1d`
+    (default nodes) in 1-D and of :func:`entropy_quadrature_2d` in 2-D.
+    """
+    if mix.dim not in (1, 2):
+        raise ValueError(f"dim: Fisher quadrature needs a 1-D or 2-D law (got dim {mix.dim})")
+    panels = _PANELS_2D if mix.dim == 2 else QuadratureSpec().nodes // _GL_PANEL
+    value, stderr, nodes = _quadrature(_f_score_squared, mix, _mixture_radius(mix), panels)
+    return FisherEstimate(value, stderr, f"quadrature_{mix.dim}d", nodes)
 
 
 def projection_entropy(mix, a, spec=None):

@@ -25,13 +25,18 @@ from .estimators import (
     cross_term_mc,
     entropy_decomposed,
     entropy_mc,
+    entropy_quadrature_1d,
+    entropy_quadrature_2d,
     fisher_mc,
+    fisher_quadrature,
+    floored_stderr,
     mixed_partial_independence,
     projection_entropy,
 )
 from .mixtures import (
     ROTATION_2D,
     check_symmetry,
+    coordinate_marginals,
     law_fingerprint,
     push_forward_linear,
     rotated_iid_construction,
@@ -163,7 +168,11 @@ def verify_directional(mix, a, budget=Budget()):
 
 
 def verify_kdim(mix, projection, budget=Budget()):
-    """Check h(A X) >= (k/n) h(X) for a balanced projection A."""
+    """Check h(A X) >= (k/n) h(X) for a balanced projection A.
+
+    The lhs is quadrature for k <= 2 and Monte Carlo (``entropy_mc``) for
+    k >= 3; the rhs is :func:`entropy_decomposed`.
+    """
     matrix = getattr(projection, "matrix", projection)
     matrix = np.asarray(matrix, dtype=float)
     report = check_balanced(matrix, tol=1e-10)
@@ -174,22 +183,56 @@ def verify_kdim(mix, projection, budget=Budget()):
         )
     _require_symmetric(mix)
     k, n = matrix.shape
-    lhs = entropy_mc(push_forward_linear(mix, matrix), budget.samples, budget.seed)
+    y_mix = push_forward_linear(mix, matrix)
+    if k == 1:
+        lhs = entropy_quadrature_1d(y_mix)
+    elif k == 2:
+        lhs = entropy_quadrature_2d(y_mix)
+    else:
+        lhs = entropy_mc(y_mix, budget.samples, budget.seed)
     hx = entropy_decomposed(mix, budget.samples, budget.seed)
     sigma = math.hypot(lhs.stderr, (k / n) * hx.stderr)
     notes = (f"projection_shape={k}x{n}",)
     return _inequality("thm_kdim", lhs, (k / n) * hx.value, sigma, mix, budget, notes=notes)
 
 
+def _fisher_information(mix, budget):
+    """I(X) with its stderr and how it was computed.
+
+    The trace of the Fisher information of a product law is the sum of its
+    coordinates' (Stam 1959), so a law that :func:`coordinate_marginals`
+    factors takes the sum of their 1-D quadratures.  Other 2-D laws take the
+    2-D quadrature, and the rest ``fisher_mc``.
+    """
+    marginals, product = coordinate_marginals(mix)
+    if product:
+        parts = [fisher_quadrature(m) for m in marginals]
+        value = math.fsum(p.value for p in parts)
+        stderr = floored_stderr(math.hypot(*(p.stderr for p in parts)), value)
+        return value, stderr, "marginal_quadrature_1d"
+    if mix.dim == 2:
+        fx = fisher_quadrature(mix)
+    else:
+        fx = fisher_mc(mix, budget.samples, budget.seed)
+    return fx.value, fx.stderr, fx.method
+
+
 def verify_fisher_lemma(mix, budget=Budget()):
-    """Check I(sum_i X_i / sqrt n) <= I(X) / n for a symmetric law."""
+    """Check I(sum_i X_i / sqrt n) <= I(X) / n for a symmetric law.
+
+    I(Y) of the 1-D sum is quadrature; the note ``fisher_x`` says how I(X)
+    was computed (see :func:`_fisher_information`).
+    """
     _require_symmetric(mix)
     n = mix.dim
     y_mix = push_forward_linear(mix, _ones_direction(n)[None, :])
-    lhs = fisher_mc(y_mix, budget.samples, budget.seed)
-    fx = fisher_mc(mix, budget.samples, budget.seed)
-    sigma = math.hypot(lhs.stderr, fx.stderr / n)
-    return _inequality("fisher_lemma", lhs, fx.value / n, sigma, mix, budget, direction=-1)
+    lhs = fisher_quadrature(y_mix)
+    fx, fx_stderr, fx_method = _fisher_information(mix, budget)
+    sigma = math.hypot(lhs.stderr, fx_stderr / n)
+    notes = (f"fisher_x={fx_method}",)
+    return _inequality(
+        "fisher_lemma", lhs, fx / n, sigma, mix, budget, direction=-1, notes=notes
+    )
 
 
 @dataclass(frozen=True)

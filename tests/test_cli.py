@@ -154,11 +154,14 @@ def test_bad_law_exits_2(name, tmp_path, capsys):
 
 def test_import_and_verify_run_without_scipy(tmp_path):
     # scipy serves the kNN estimator alone; a fresh interpreter that imports
-    # the package and runs a verify must not load it.
+    # the package and runs a verify and a two-row kdim (the 2-D quadrature)
+    # must not load it.
     code = (
         "import sys, symentropy, symentropy.cli\n"
         "status = symentropy.cli.main(['verify', '--law', 'builtin:gaussian-iid-n3',"
         " '--samples', '1000', '--out', sys.argv[1]])\n"
+        "status = max(status, symentropy.cli.main(['kdim', '--law', 'builtin:bimodal-product-n3',"
+        " '--k', '2', '--n', '3', '--method', 'frequency_pairs', '--out', sys.argv[1]]))\n"
         "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = os.path.dirname(os.path.dirname(se.__file__))

@@ -87,6 +87,74 @@ class TestEntropyQuadrature:
         assert est.value == pytest.approx(HALF_LOG_2PIE, abs=1e-9)
 
 
+class TestQuadrature2dAndFisher:
+    # closed forms; each rule is deterministic, so no draws
+    def test_correlated_gaussian_entropy(self):
+        est = se.entropy_quadrature_2d(se.correlated_gaussian(0.5))
+        assert est.method == "quadrature_2d"
+        truth = 0.5 * math.log((2 * math.pi * math.e) ** 2 * 0.75)
+        assert abs(est.value - truth) <= 3 * est.stderr
+
+    @pytest.mark.parametrize(
+        "law, truth",
+        [
+            (se.correlated_gaussian(0.5), 8.0 / 3.0),  # tr Sigma^-1
+            (se.gaussian_iid(2, 4.0), 0.5),
+            (se.gaussian_iid(1), 1.0),
+        ],
+    )
+    def test_gaussian_fisher_is_trace_of_precision(self, law, truth):
+        est = se.fisher_quadrature(law)
+        assert est.method == f"quadrature_{law.dim}d"
+        assert abs(est.value - truth) <= 3 * est.stderr
+
+    def test_rotated_bimodal_is_twice_the_base(self):
+        law, base = se.rotated_bimodal(), se.bimodal_1d()
+        h = se.entropy_quadrature_2d(law)
+        assert abs(h.value - 2 * se.entropy_quadrature_1d(base).value) <= 3 * h.stderr
+        fisher = se.fisher_quadrature(law)
+        assert abs(fisher.value - 2 * se.fisher_quadrature(base).value) <= 3 * fisher.stderr
+
+    def test_agrees_with_monte_carlo_on_push_forwards(self):
+        law = se.bimodal_product(3)
+        pair = se.push_forward_linear(law, se.balanced_projection(2, 3, "frequency_pairs").matrix)
+        total = se.push_forward_linear(law, np.ones((1, 3)) / math.sqrt(3))
+        checks = [
+            (se.entropy_quadrature_2d(pair), se.entropy_mc(pair, 200000, 5)),
+            (se.fisher_quadrature(pair), se.fisher_mc(pair, 200000, 5)),
+            (se.fisher_quadrature(total), se.fisher_mc(total, 200000, 5)),
+        ]
+        for quad, mc in checks:
+            assert abs(quad.value - mc.value) <= 4 * math.hypot(quad.stderr, mc.stderr)
+
+    def test_rejects_wrong_dimension(self):
+        for law in (se.gaussian_iid(1), se.gaussian_iid(3)):
+            with pytest.raises(ValueError, match="dim"):
+                se.entropy_quadrature_2d(law)
+        with pytest.raises(ValueError, match="dim"):
+            se.fisher_quadrature(se.gaussian_iid(3))
+
+    def test_grid_held_in_slabs(self, monkeypatch):
+        # a law that never converges takes all 3 doublings, 1024^2 nodes,
+        # and no slab of them exceeds CHUNK_SIZE
+        from symentropy.streams import CHUNK_SIZE
+
+        sizes = []
+        law = se.make_gaussian_mixture(
+            [(0.5, [s * 30.0, 0.0], 0.001 * np.eye(2)) for s in (-1.0, 1.0)]
+        )
+        log_density = type(law).log_density
+
+        def spy(self, x):
+            sizes.append(len(x))
+            return log_density(self, x)
+
+        monkeypatch.setattr(type(law), "log_density", spy)
+        est = se.entropy_quadrature_2d(law)
+        assert est.count == 1024**2
+        assert max(sizes) == CHUNK_SIZE
+
+
 class TestEntropyDecomposed:
     @pytest.mark.parametrize(
         "law",

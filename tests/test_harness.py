@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import symentropy as se
-from symentropy import harness
+from symentropy import estimators, harness
 from symentropy.harness import HOLDS, HOLDS_WITH_EQUALITY, VIOLATED
 
 BUDGET = se.Budget(samples=100000, seed=0)
@@ -82,6 +82,13 @@ class TestVerifyKdim:
         assert report.statement == "thm_kdim"
         assert report.verdict == HOLDS_WITH_EQUALITY
 
+    @pytest.mark.parametrize("n, method", [(3, "frequency_pairs"), (4, "hadamard"), (5, "frequency_pairs")])
+    def test_gaussian_two_row_equality_is_exact(self, n, method):
+        report = se.verify_kdim(se.gaussian_iid(n), se.balanced_projection(2, n, method), BUDGET)
+        assert report.lhs.method == "quadrature_2d"
+        assert report.verdict == HOLDS_WITH_EQUALITY
+        assert abs(report.gap) <= 3 * report.sigma < 1e-10
+
     def test_bimodal_product_strict(self):
         report = se.verify_kdim(
             se.bimodal_product(4), se.balanced_projection(2, 4, "hadamard"), BUDGET
@@ -93,8 +100,9 @@ class TestVerifyKdim:
         law = se.bimodal_product(3)
         main = se.verify_main(law, BUDGET)
         kdim = se.verify_kdim(law, se.balanced_projection(1, 3, "hadamard"), BUDGET)
-        # same inequality; kdim estimates the projection by MC instead of quadrature
-        assert kdim.gap == pytest.approx(main.gap, abs=3 * math.hypot(kdim.sigma, main.sigma))
+        # same inequality, and both take h(a . X) from the 1-D quadrature
+        assert kdim.lhs.method == main.lhs.method == "quadrature_1d"
+        assert abs(kdim.gap - main.gap) <= 1e-10
         assert kdim.verdict == HOLDS
 
     def test_rejects_unbalanced(self):
@@ -117,6 +125,12 @@ class TestVerifyFisherLemma:
         assert report.direction == -1
         assert report.verdict == HOLDS_WITH_EQUALITY
 
+    @pytest.mark.parametrize("law", [se.gaussian_iid(1), se.gaussian_iid(3), se.gaussian_iid(2, 4.0)])
+    def test_gaussian_equality_is_exact(self, law):
+        report = se.verify_fisher_lemma(law, BUDGET)
+        assert report.verdict == HOLDS_WITH_EQUALITY
+        assert abs(report.gap) <= 3 * report.sigma < 1e-10
+
     def test_variance_four_equality(self):
         report = se.verify_fisher_lemma(se.gaussian_iid(2, 4.0), BUDGET)
         assert report.verdict == HOLDS_WITH_EQUALITY
@@ -126,6 +140,65 @@ class TestVerifyFisherLemma:
         report = se.verify_fisher_lemma(se.bimodal_product(3), BUDGET)
         assert report.verdict == HOLDS
         assert report.gap < -3 * report.sigma  # I(Y) strictly below I(X)/n
+
+    @pytest.mark.parametrize(
+        "law, method",
+        [
+            (se.bimodal_product(3), "marginal_quadrature_1d"),
+            (se.gaussian_iid(1), "marginal_quadrature_1d"),
+            (se.rotated_bimodal(), "quadrature_2d"),
+        ],
+    )
+    def test_notes_say_how_fisher_x_was_computed(self, law, method):
+        report = se.verify_fisher_lemma(law, BUDGET)
+        assert report.lhs.method == "quadrature_1d"
+        assert report.notes == (f"fisher_x={method}",)
+
+    def test_non_product_3d_law_falls_back_to_monte_carlo(self, monkeypatch):
+        # a symmetric scale mixture: its coordinates are dependent
+        law = se.make_gaussian_mixture([(0.5, np.zeros(3), np.eye(3)), (0.5, np.zeros(3), 4 * np.eye(3))])
+        assert not se.coordinate_marginals(law)[1]
+        calls = []
+        fisher_mc = harness.fisher_mc
+
+        def spy(d, count, seed):
+            calls.append(d)
+            return fisher_mc(d, count, seed)
+
+        monkeypatch.setattr(harness, "fisher_mc", spy)
+        report = se.verify_fisher_lemma(law, BUDGET)
+        assert calls == [law]
+        assert report.notes == ("fisher_x=mc_score",)
+        assert report.verdict == HOLDS
+
+
+class TestDeterministicStatements:
+    # kdim with k <= 2 and the Fisher lemma on product and 2-D laws draw nothing
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(se.GaussianMixture, "sample", forbidden)
+        monkeypatch.setattr(estimators, "mc_mean", forbidden)
+
+    @staticmethod
+    def _same_but_seed(make):
+        a, b = (make(se.Budget(seed=seed)).to_json_dict() for seed in (0, 7))
+        assert (a.pop("seed"), b.pop("seed")) == (0, 7)
+        assert a == b
+
+    @pytest.mark.parametrize("name", ["bimodal-product-n3", "gaussian-iid-n3"])
+    @pytest.mark.parametrize("k, method", [(1, "hadamard"), (2, "frequency_pairs")])
+    def test_kdim(self, name, k, method):
+        law = se.builtin_law(name)
+        projection = se.balanced_projection(k, 3, method)
+        self._same_but_seed(lambda budget: se.verify_kdim(law, projection, budget))
+
+    @pytest.mark.parametrize("name", ["bimodal-product-n3", "gaussian-iid-n3", "rotated-bimodal"])
+    def test_fisher_lemma(self, name):
+        law = se.builtin_law(name)
+        self._same_but_seed(lambda budget: se.verify_fisher_lemma(law, budget))
 
 
 class TestEqualityDemo:

@@ -5,7 +5,10 @@ composite Gauss-Legendre quadrature for 1-D laws, ``quadrature_1d``, and
 nearest-neighbor distances from samples alone) cross-check each other.  The
 same composite rule, as a tensor product, integrates 2-D mixtures
 (``quadrature_2d``), and it gives the Fisher information of 1-D and 2-D
-mixtures without draws.  A decomposed route adds the quadrature entropies of
+mixtures without draws.  :func:`projection_entropy` takes a (D, n) block
+of unit directions and returns one estimate per row: the D line laws a . X
+are integrated together, with panel doubling only for the rows that have
+not converged.  A decomposed route adds the quadrature entropies of
 a mixture's coordinate marginals and subtracts a Monte Carlo total
 correlation, which is exactly zero, with no draws, when the mixture is their
 product.  Alongside are Monte Carlo estimators for the Fisher information,
@@ -31,7 +34,7 @@ from .errors import (
     TooFewSamplesError,
     TruncationInsufficientError,
 )
-from .mixtures import GaussianMixture, coordinate_marginals, push_forward_linear
+from .mixtures import GaussianMixture, coordinate_marginals, line_laws, push_forward_linear
 from .streams import CHUNK_SIZE, mc_mean, split_seed
 
 _GL_PANEL = 16
@@ -172,9 +175,13 @@ def _log_density(d, x):
     return lf
 
 
-def _neg_f_log_f(d, x):
-    lf = _log_density(d, x)
+def _neg_x_exp_x(lf):
+    # -f log f from log f, with 0 where f is 0
     return np.where(np.isneginf(lf), 0.0, -np.exp(lf) * lf)
+
+
+def _neg_f_log_f(d, x):
+    return _neg_x_exp_x(_log_density(d, x))
 
 
 def _f_score_squared(d, x):
@@ -211,24 +218,86 @@ def _panel_integral(integrand, d, radius, panels):
     return math.fsum(parts)
 
 
-def _quadrature(integrand, d, radius, panels):
-    """Integral of ``integrand(d, points)`` over [-R, R]^dim, dim in {1, 2}.
+def _quadrature(integrate, rows, panels):
+    """Row-wise integrals by the composite rule, with panel doubling.
 
-    Panels per axis double, at most 3 times, until the value agrees with the
-    one at half the panels to 1e-10 relative.  Returns the value, its stderr
-    (the last convergence difference, floored by :func:`floored_stderr`) and
-    the node count of the final grid.
+    ``integrate(active, panels)`` returns the integrals of the rows indexed
+    by ``active`` with ``panels`` panels per axis.  Each row's panels
+    double, at most 3 times, until its value agrees with the one at half
+    the panels to 1e-10 relative; only rows that have not converged are
+    evaluated again.  Returns per row the value, its stderr (the last
+    convergence difference, floored by :func:`floored_stderr`) and the
+    final panels per axis.
     """
-    value_half = _panel_integral(integrand, d, radius, max(2, panels // 2))
-    value = _panel_integral(integrand, d, radius, panels)
+    active = np.arange(rows)
+    value_half = integrate(active, max(2, panels // 2))
+    value = integrate(active, panels)
+    final = np.full(rows, panels)
     for _ in range(3):
-        if abs(value - value_half) <= 1e-10 * (1.0 + abs(value)):
+        converged = np.abs(value - value_half) <= 1e-10 * (1.0 + np.abs(value))
+        active = active[~converged[active]]
+        if not active.size:
             break
         panels *= 2
-        value_half = value
-        value = _panel_integral(integrand, d, radius, panels)
-    stderr = floored_stderr(abs(value - value_half), value)
+        value_half[active] = value[active]
+        value[active] = integrate(active, panels)
+        final[active] = panels
+    values = value.tolist()
+    stderrs = [floored_stderr(abs(v - h), v) for v, h in zip(values, value_half.tolist())]
+    return values, stderrs, final.tolist()
+
+
+def _law_quadrature(integrand, d, radius, panels):
+    """One law's integral of ``integrand(d, points)`` over [-R, R]^dim, dim in {1, 2}.
+
+    The one-row case of :func:`_quadrature`; returns the value, its stderr
+    and the node count of the final grid.
+    """
+    [value], [stderr], [panels] = _quadrature(
+        lambda _, p: np.array([_panel_integral(integrand, d, radius, p)]), 1, panels
+    )
     return value, stderr, (panels * _GL_PANEL) ** d.dim
+
+
+def _line_entropies(means, variances, log_weights, radii, panels):
+    """-∫ f_d log f_d over [-R_d, R_d] for the 1-D mixtures f_d, one per row.
+
+    Row d of ``means`` and ``variances`` holds the components of f_d, which
+    share ``log_weights``.  The rule is :func:`_panel_integral`'s on each
+    row's own range; the log-densities are one log-sum-exp over rows x
+    components x nodes, taken in slabs of at most CHUNK_SIZE
+    node-components.
+    """
+    rows, k = means.shape
+    edges = np.ascontiguousarray(np.linspace(-radii, radii, panels + 1, axis=1))
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    x = (mid[:, :, None] + half[:, :, None] * _GL_NODES).reshape(rows, -1)
+    w = (half[:, :, None] * _GL_WEIGHTS).reshape(rows, -1)
+    consts = log_weights - 0.5 * np.log(2.0 * math.pi * variances)
+    scales = -0.5 / variances
+    nodes = x.shape[1]
+    slab_rows = max(1, CHUNK_SIZE // (k * nodes))
+    slab_nodes = max(1, CHUNK_SIZE // (k * slab_rows))
+    out = np.empty(rows)
+    for r in range(0, rows, slab_rows):
+        rs = slice(r, r + slab_rows)
+        lf = np.empty_like(x[rs])
+        for c in range(0, nodes, slab_nodes):
+            cs = slice(c, c + slab_nodes)
+            # rows x components x nodes, so the reductions run along whole node rows
+            t = x[rs, None, cs] - means[rs, :, None]
+            t *= t
+            t *= scales[rs, :, None]
+            t += consts[rs, :, None]
+            top = t.max(axis=1)
+            t -= top[:, None, :]
+            np.exp(t, out=t)
+            lf[:, cs] = np.log(t.sum(axis=1)) + top
+        if np.any(np.isnan(lf)) or np.any(np.isposinf(lf)):
+            raise NonFiniteLogDensityError("log-density NaN or +inf inside quadrature range")
+        out[rs] = np.einsum("ij,ij->i", w[rs], _neg_x_exp_x(lf))
+    return out
 
 
 def entropy_quadrature_1d(d, spec=None):
@@ -257,7 +326,7 @@ def entropy_quadrature_1d(d, spec=None):
         raise ValueError("radius: required for non-mixture laws")
 
     panels = max(4, int(math.ceil(spec.nodes / _GL_PANEL)))
-    value, stderr, nodes = _quadrature(_neg_f_log_f, d, radius, panels)
+    value, stderr, nodes = _law_quadrature(_neg_f_log_f, d, radius, panels)
     return EntropyEstimate(value, stderr, "quadrature_1d", nodes)
 
 
@@ -271,7 +340,7 @@ def entropy_quadrature_2d(mix):
     """
     if mix.dim != 2:
         raise ValueError(f"dim: 2-D quadrature needs a 2-D law (got dim {mix.dim})")
-    value, stderr, nodes = _quadrature(_neg_f_log_f, mix, _mixture_radius(mix), _PANELS_2D)
+    value, stderr, nodes = _law_quadrature(_neg_f_log_f, mix, _mixture_radius(mix), _PANELS_2D)
     return EntropyEstimate(value, stderr, "quadrature_2d", nodes)
 
 
@@ -284,17 +353,39 @@ def fisher_quadrature(mix):
     if mix.dim not in (1, 2):
         raise ValueError(f"dim: Fisher quadrature needs a 1-D or 2-D law (got dim {mix.dim})")
     panels = _PANELS_2D if mix.dim == 2 else QuadratureSpec().nodes // _GL_PANEL
-    value, stderr, nodes = _quadrature(_f_score_squared, mix, _mixture_radius(mix), panels)
+    value, stderr, nodes = _law_quadrature(_f_score_squared, mix, _mixture_radius(mix), panels)
     return FisherEstimate(value, stderr, f"quadrature_{mix.dim}d", nodes)
 
 
-def projection_entropy(mix, a, spec=None):
-    """Entropy of the projection a . X, exactly via 1-D pushforward."""
-    a = np.asarray(a, dtype=float)
-    norm = float(np.linalg.norm(a))
-    if abs(norm - 1.0) > 1e-10:
-        raise NotUnitVectorError(f"direction: norm {norm} differs from 1 by > 1e-10")
-    return entropy_quadrature_1d(push_forward_linear(mix, a[None, :]), spec)
+def projection_entropy(mix, directions):
+    """Entropies h(a . X), one :class:`EntropyEstimate` per unit row a of ``directions``.
+
+    ``directions`` is a (D, n) block of unit rows.  The law of each a . X is
+    the exact 1-D mixture of :func:`line_laws`, and its entropy is the rule
+    of :func:`entropy_quadrature_1d` at the default nodes: the same radius,
+    panels and doubling, applied to all rows at once.  The error names the
+    first row whose norm differs from 1 by more than 1e-10.
+    """
+    directions = np.asarray(directions, dtype=float)
+    if directions.ndim == 2:  # line_laws rejects any other shape
+        norms = np.linalg.norm(directions, axis=1)
+        off = np.flatnonzero(np.abs(norms - 1.0) > 1e-10)
+        if off.size:
+            raise NotUnitVectorError(
+                f"directions row {off[0]}: norm {norms[off[0]]} differs from 1 by > 1e-10"
+            )
+    weights, means, variances = line_laws(mix, directions)
+    log_weights = np.log(weights)
+    radii = np.max(np.abs(means), axis=1) + 8.0 * np.max(np.sqrt(variances), axis=1)
+    values, stderrs, panels = _quadrature(
+        lambda rows, p: _line_entropies(means[rows], variances[rows], log_weights, radii[rows], p),
+        len(directions),
+        QuadratureSpec().nodes // _GL_PANEL,
+    )
+    return [
+        EntropyEstimate(v, s, "quadrature_1d", p * _GL_PANEL)
+        for v, s, p in zip(values, stderrs, panels)
+    ]
 
 
 def entropy_decomposed(mix, count, seed, basis=None):

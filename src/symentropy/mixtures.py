@@ -285,45 +285,71 @@ def make_gaussian_mixture(components):
     accepted for 1-D laws.  Means and covariances must be finite.  Weights
     are normalized; covariances are forced symmetric and must have smallest
     eigenvalue above 1e-12.  The dimension is at most :data:`MAX_DIM`.
+    Each rule is checked once over all components, and an error names the
+    first component that breaks it.
     """
     if not components:
         raise EmptyMixtureError("mixture needs at least one component")
-    weights, means, covs = [], [], []
-    dim = None
-    for k, (w, mean, cov) in enumerate(components):
-        w = float(w)
-        if not np.isfinite(w) or w <= 0.0:
-            raise InvalidComponentError(
-                f"component {k}: weight must be positive and finite (got {w})"
-            )
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    weights = np.array([float(w) for w, _, _ in components])
+    means = [np.atleast_1d(np.asarray(mean, dtype=float)) for _, mean, _ in components]
+    covs = [np.atleast_2d(np.asarray(cov, dtype=float)) for _, _, cov in components]
+    dim = means[0].shape[0]
+    if means[0].size and dim > MAX_DIM:
+        raise DimensionTooLargeError(
+            f"component 0: dimension {dim} > {MAX_DIM}, the largest supported"
+        )
+    for k, (mean, cov) in enumerate(zip(means, covs)):
         if mean.size == 0:
             raise DimensionMismatchError(f"component {k}: mean has zero length")
-        if dim is None:
-            dim = mean.shape[0]
-            if dim > MAX_DIM:
-                raise DimensionTooLargeError(
-                    f"component {k}: dimension {dim} > {MAX_DIM}, the largest supported"
-                )
         if mean.shape != (dim,) or cov.shape != (dim, dim):
             raise DimensionMismatchError(
                 f"component {k}: mean shape {mean.shape}, cov shape {cov.shape}, "
                 f"expected dimension {dim}"
             )
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise InvalidComponentError(f"component {k}: mean and covariance must be finite")
-        cov = 0.5 * (cov + cov.T)
-        smallest = float(np.linalg.eigvalsh(cov)[0])
-        if smallest <= _EIG_FLOOR:
-            raise NotPositiveDefiniteError(
-                f"component {k}: smallest covariance eigenvalue {smallest:.3e} <= 1e-12"
-            )
-        weights.append(w)
-        means.append(mean)
-        covs.append(cov)
-    weights = np.asarray(weights)
-    return GaussianMixture(weights / weights.sum(), np.asarray(means), np.asarray(covs))
+    return _checked_mixture(weights, np.asarray(means), np.asarray(covs))
+
+
+def _first_fault(bad):
+    """Index tuple of the first True entry of ``bad``, or None."""
+    if not bad.any():
+        return None
+    return np.unravel_index(int(np.argmax(bad)), bad.shape)
+
+
+def _check_variance_floor(smallest):
+    """Raise unless every smallest covariance eigenvalue is above 1e-12.
+
+    ``smallest`` holds one eigenvalue per component, shape (K,), or per row
+    and component, shape (D, K); the error names the first that fails.
+    """
+    at = _first_fault(~(smallest > _EIG_FLOOR))
+    if at is not None:
+        row = f"row {at[0]}, " if len(at) == 2 else ""
+        raise NotPositiveDefiniteError(
+            f"{row}component {at[-1]}: smallest covariance eigenvalue "
+            f"{smallest[at]:.3e} <= 1e-12"
+        )
+
+
+def _checked_mixture(weights, means, covs):
+    """Build a mixture from stacked (K,), (K, n), (K, n, n) arrays of matching shape.
+
+    The rules of :func:`make_gaussian_mixture` are each checked once over
+    all components: positive finite weights, finite means and covariances,
+    and covariances, forced symmetric, with smallest eigenvalue above 1e-12.
+    """
+    at = _first_fault(~(np.isfinite(weights) & (weights > 0.0)))
+    if at is not None:
+        raise InvalidComponentError(
+            f"component {at[0]}: weight must be positive and finite (got {weights[at]})"
+        )
+    finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
+    at = _first_fault(~finite)
+    if at is not None:
+        raise InvalidComponentError(f"component {at[0]}: mean and covariance must be finite")
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    _check_variance_floor(np.linalg.eigvalsh(covs)[:, 0])
+    return GaussianMixture(weights / weights.sum(), means, covs)
 
 
 def push_forward_linear(mix, matrix):
@@ -343,11 +369,32 @@ def push_forward_linear(mix, matrix):
         raise RankDeficientError(
             f"smallest singular value {smallest_sv:.3e} < 1e-10"
         )
-    components = [
-        (w, matrix @ mu, matrix @ cov @ matrix.T)
-        for w, mu, cov in zip(mix.weights, mix.means, mix.covs)
-    ]
-    return make_gaussian_mixture(components)
+    # one A mu_k product per component, so each mean rounds as a lone
+    # matrix-vector product would; the result is C-contiguous
+    means = np.matmul(matrix, mix.means[:, :, None])[:, :, 0]
+    return _checked_mixture(mix.weights, means, matrix @ mix.covs @ matrix.T)
+
+
+def line_laws(mix, directions):
+    """The 1-D laws of ``a . X`` for every row ``a`` of ``directions``, as arrays.
+
+    Returns ``(weights, means, variances)``: the K component weights that
+    every row shares, and the (D, K) arrays ``a_d . mu_k`` and
+    ``a_d^T Sigma_k a_d``.  Row d is the law of
+    ``push_forward_linear(mix, directions[d:d + 1])`` up to rounding, and
+    its variances meet the same 1e-12 floor; an error names the row and
+    component that fails it.  Rows are not checked for rank: a zero row
+    fails the floor.
+    """
+    directions = np.asarray(directions, dtype=float)
+    if directions.ndim != 2 or directions.shape[1] != mix.dim:
+        raise DimensionMismatchError(
+            f"directions: expected a 2-D block of rows of length {mix.dim} "
+            f"(got shape {directions.shape})"
+        )
+    variances = np.einsum("kdi,di->dk", directions @ mix.covs, directions)
+    _check_variance_floor(variances)
+    return mix.weights / mix.weights.sum(), directions @ mix.means.T, variances
 
 
 def convolve_isotropic(mix, t):
@@ -514,22 +561,21 @@ def sample(d, count, seed):
 
 # --- JSON round-trip (17 significant digits, bit-exact) -------------------
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def mixture_to_json(mix):
-    """Serialize to ``{dim, components: [{weight, mean, cov}]}`` with 17-digit decimals."""
-    parts = []
-    for w, mean, cov in mix.components:
-        mean_txt = ", ".join(_fmt(v) for v in mean)
-        cov_txt = ", ".join(
-            "[" + ", ".join(_fmt(v) for v in row) + "]" for row in cov
-        )
-        parts.append(
-            '{"weight": %s, "mean": [%s], "cov": [%s]}' % (_fmt(w), mean_txt, cov_txt)
-        )
-    return '{"dim": %d, "components": [%s]}' % (mix.dim, ", ".join(parts))
+    """Serialize to ``{dim, components: [{weight, mean, cov}]}`` with 17-digit decimals.
+
+    One ``%.17g`` template per component is filled from that component's
+    row of weight, mean and flattened covariance.
+    """
+    k, n = mix.means.shape
+    row = ", ".join(["%.17g"] * n)
+    template = '{"weight": %%.17g, "mean": [%s], "cov": [%s]}' % (
+        row,
+        ", ".join(["[" + row + "]"] * n),
+    )
+    table = np.column_stack([mix.weights, mix.means, mix.covs.reshape(k, -1)]).tolist()
+    parts = ", ".join([template % tuple(values) for values in table])
+    return '{"dim": %d, "components": [%s]}' % (mix.dim, parts)
 
 
 def mixture_from_json(text):

@@ -270,26 +270,81 @@ class TestEntropyKnn:
         assert abs(est.value - 3 * HALF_LOG_2PIE) <= 3 * est.stderr
 
 
+def _scan_grid(n):
+    # the unit rows direction_scan asks for at its default resolution
+    from symentropy.harness import _scan_directions
+
+    return np.array([a / np.linalg.norm(a) for a in _scan_directions(n, 90)])
+
+
+def _two_group_law():
+    # symmetrize of a random 2-D, 2-component law: several covariance groups
+    rng = np.random.default_rng(5)
+    components = []
+    for _ in range(2):
+        q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+        cov = q @ np.diag(rng.uniform(0.3, 2.0, 2)) @ q.T
+        components.append((rng.uniform(0.2, 1.0), rng.normal(size=2), cov))
+    return se.symmetrize(se.make_gaussian_mixture(components))
+
+
 class TestProjectionEntropy:
     def test_rotation_invariance(self):
-        est = se.projection_entropy(se.gaussian_iid(3), np.ones(3) / math.sqrt(3))
+        [est] = se.projection_entropy(se.gaussian_iid(3), np.ones((1, 3)) / math.sqrt(3))
         assert est.value == pytest.approx(HALF_LOG_2PIE, abs=1e-9)
 
     def test_rotated_bimodal_diagonal_recovers_base(self):
         law = se.rotated_bimodal()
         base = se.entropy_quadrature_1d(se.bimodal_1d())
-        est = se.projection_entropy(law, np.array([1.0, 1.0]) / math.sqrt(2))
+        [est] = se.projection_entropy(law, np.array([[1.0, 1.0]]) / math.sqrt(2))
         assert est.value == pytest.approx(base.value, abs=1e-9)
 
     def test_correlated_gaussian_small_variance_direction(self):
-        est = se.projection_entropy(
-            se.correlated_gaussian(-0.9), np.array([1.0, 1.0]) / math.sqrt(2)
+        [est] = se.projection_entropy(
+            se.correlated_gaussian(-0.9), np.array([[1.0, 1.0]]) / math.sqrt(2)
         )
         assert est.value == pytest.approx(HALF_LOG_2PIE + 0.5 * math.log(0.1), abs=1e-9)
 
     def test_rejects_non_unit_vector(self):
         with pytest.raises(se.NotUnitVectorError):
-            se.projection_entropy(se.gaussian_iid(2), np.array([1.0, 1.0]))
+            se.projection_entropy(se.gaussian_iid(2), np.array([[1.0, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "law", [se.bimodal_product(3), se.rotated_bimodal(), _two_group_law()],
+        ids=["bimodal-product-n3", "rotated-bimodal", "two-group"],
+    )
+    def test_stacked_rows_match_one_law_rule(self, law):
+        grid = _scan_grid(law.dim)
+        estimates = se.projection_entropy(law, grid)
+        assert len(estimates) == len(grid)
+        for a, est in zip(grid, estimates):
+            one = se.entropy_quadrature_1d(se.push_forward_linear(law, a[None, :]))
+            assert abs(est.value - one.value) <= 1e-13 * (1.0 + abs(one.value))
+            assert est.count == one.count
+            assert est.method == "quadrature_1d"
+
+    def test_two_group_law_has_several_covariance_groups(self):
+        assert len(_two_group_law()._groups) >= 2
+
+    def test_only_unconverged_rows_double(self):
+        # narrow components at +-30 along the first axis need panel doublings;
+        # the second axis sees one narrow Gaussian, which does not
+        law = se.make_gaussian_mixture(
+            [(0.5, [-30.0, 0.0], 1e-3 * np.eye(2)), (0.5, [30.0, 0.0], 1e-3 * np.eye(2))]
+        )
+        rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+        estimates = se.projection_entropy(law, rows)
+        counts = [
+            se.entropy_quadrature_1d(se.push_forward_linear(law, a[None, :])).count
+            for a in rows
+        ]
+        assert [est.count for est in estimates] == counts
+        assert counts[0] > counts[1] == 512
+
+    def test_non_unit_row_is_named(self):
+        rows = np.array([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0]])
+        with pytest.raises(se.NotUnitVectorError, match="row 2"):
+            se.projection_entropy(se.gaussian_iid(2), rows)
 
 
 class TestFisherMc:

@@ -281,11 +281,13 @@ class TestDirectionScan:
 
     def test_argmax_tie_reports_first_row(self, monkeypatch):
         # the later row is one ulp larger, far inside its quadrature stderr
-        values = iter([1.0, float(np.nextafter(1.0, 2.0)), 0.5])
+        values = [1.0, float(np.nextafter(1.0, 2.0)), 0.5]
         monkeypatch.setattr(
             harness,
             "projection_entropy",
-            lambda mix, a: se.EntropyEstimate(next(values), 1e-12, "quadrature_1d", 512),
+            lambda mix, directions: [
+                se.EntropyEstimate(v, 1e-12, "quadrature_1d", 512) for v in values
+            ],
         )
         report = se.direction_scan(se.gaussian_iid(2), resolution=3, budget=BUDGET)
         assert report.rows[1].entropy > report.rows[0].entropy

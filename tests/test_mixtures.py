@@ -56,11 +56,22 @@ class TestConstruction:
         with pytest.raises(se.DimensionMismatchError):
             se.make_gaussian_mixture([(1.0, [0.0], [[1.0]]), (1.0, [0.0, 0.0], np.eye(2))])
 
-    def test_not_positive_definite_names_component(self):
-        with pytest.raises(se.NotPositiveDefiniteError, match="component 1"):
-            se.make_gaussian_mixture(
-                [(0.5, [0.0, 0.0], np.eye(2)), (0.5, [0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])]
-            )
+    @pytest.mark.parametrize(
+        "fault, error",
+        [
+            ((0.3, [np.nan, 0.0], np.eye(2)), se.InvalidComponentError),
+            ((0.0, [0.0, 0.0], np.eye(2)), se.InvalidComponentError),
+            ((0.3, [0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]]), se.NotPositiveDefiniteError),
+            ((0.3, [0.0, 0.0, 0.0], np.eye(3)), se.DimensionMismatchError),
+        ],
+        ids=["nan-mean", "zero-weight", "not-positive-definite", "shape-mismatch"],
+    )
+    def test_not_positive_definite_names_component(self, fault, error):
+        # each rule is checked over all components at once; the error still
+        # names the one component that breaks it
+        good = (0.3, [1.0, -1.0], np.eye(2))
+        with pytest.raises(error, match="component 2"):
+            se.make_gaussian_mixture([good, good, fault])
 
     def test_nonpositive_weight(self):
         with pytest.raises(ValueError, match="weight"):
@@ -568,7 +579,7 @@ class TestRotatedIid:
         base = se.bimodal_1d()
         law = se.rotated_iid_construction(base)
         h_base = se.entropy_quadrature_1d(base)
-        h_proj = se.projection_entropy(law, np.array([1.0, 1.0]) / math.sqrt(2))
+        [h_proj] = se.projection_entropy(law, np.array([[1.0, 1.0]]) / math.sqrt(2))
         assert h_proj.value == pytest.approx(h_base.value, abs=1e-9)
 
     def test_rejects_multivariate_base(self):
@@ -623,6 +634,19 @@ class TestJsonRoundTrip:
         a = se.gaussian_iid(2)
         assert se.law_fingerprint(a) == se.law_fingerprint(se.gaussian_iid(2))
         assert se.law_fingerprint(a) != se.law_fingerprint(se.gaussian_iid(3))
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("gaussian-iid-n2", "c543e12800a80f47"),
+            ("bimodal-product-n3", "2fed1b05c2277444"),
+            ("bimodal-product-n8", "318c810a83a7466b"),
+            ("rotated-bimodal", "58366abd75e3541d"),
+        ],
+    )
+    def test_fingerprint_text_pinned(self, name, digest):
+        # reports carry these digests, so the canonical text must not drift
+        assert se.law_fingerprint(se.builtin_law(name)) == digest
 
     def test_declared_dimension_checked(self):
         text = '{"dim": 3, "components": [{"weight": 1, "mean": [0], "cov": [[1]]}]}'

@@ -2,8 +2,9 @@
 
 In two dimensions equality holds exactly for 45-degree rotations of a pair
 of i.i.d. symmetric variables, Gaussian or not.  From three dimensions on,
-only i.i.d. Gaussians remain: the probe below measures both the entropy
-gap and the independence relations that pin this down.
+only i.i.d. Gaussians remain: the probe below measures the entropy gap
+and decides, exactly from the mixture's components, the independence
+relations that pin this down.
 """
 
 import symentropy as se
@@ -37,9 +38,11 @@ for name, law in [
     print(f"  equality gap: {probe.main_gap:+.5f} +/- {probe.main.sigma:.5f} ({probe.main.verdict})")
     print(f"  independence failures across the basis family: {list(probe.independence_failures)}")
     for ev in probe.evidence:
+        ind = ev.independence
         print(
-            f"    basis {ev.basis_index}: max mixed partial of log f = "
-            f"{ev.mixed_partial.max_abs:.2e} (ok={ev.mixed_partial.verdict})"
+            f"    basis {ev.basis_index}: max |cross covariance| = "
+            f"{ind.max_cross_covariance:.2e}, max weight residual = "
+            f"{ind.max_weight_residual:.2e} (independent={ind.verdict})"
         )
 
 print("\nA zero gap with every rotated coordinate system factorizing is the")

@@ -89,7 +89,9 @@ from .heat_flow import FisherPath, entropy_via_debruijn, fisher_path
 from .mixtures import (
     DensityModel,
     GaussianMixture,
+    IndependenceReport,
     SymmetryReport,
+    check_independence,
     check_symmetry,
     convolve_isotropic,
     coordinate_marginals,

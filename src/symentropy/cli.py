@@ -14,6 +14,7 @@ holds what they print.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -290,8 +291,11 @@ def run(config):
     return 0 if passed else 1
 
 
+@functools.cache
 def _build_parser():
-    # No option holds a default: one that is not given falls through to RunConfig.
+    # No option holds a default: one that is not given falls through to
+    # RunConfig.  So a parse leaves no state behind, and one parser serves
+    # every call of main in a process.
     parser = argparse.ArgumentParser(
         prog="symentropy",
         description="Verify entropy lower bounds for symmetric random vectors.",

@@ -22,7 +22,6 @@ from .errors import (
 )
 from .estimators import (
     EntropyEstimate,
-    cross_term_mc,
     entropy_decomposed,
     entropy_mc,
     entropy_quadrature_1d,
@@ -30,18 +29,17 @@ from .estimators import (
     fisher_mc,
     fisher_quadrature,
     floored_stderr,
-    mixed_partial_independence,
     projection_entropy,
 )
 from .mixtures import (
     ROTATION_2D,
+    check_independence,
     check_symmetry,
     coordinate_marginals,
     law_fingerprint,
     push_forward_linear,
     rotated_iid_construction,
 )
-from .streams import split_seed
 
 HOLDS = "holds"
 HOLDS_WITH_EQUALITY = "holds_with_equality"
@@ -262,17 +260,13 @@ def equality_demo_n2(base, budget=Budget()):
     gap = lhs.value - h2.value / 2.0
     sigma = math.hypot(lhs.stderr, h2.stderr / 2.0)
     z_law = push_forward_linear(law, ROTATION_2D.T)
-    independence = mixed_partial_independence(
-        z_law, 0, probes=32, seed=split_seed(budget.seed, 1)
-    )
-    coordinate_symmetry = check_symmetry(z_law)
     return EqualityDemoReport(
         gap=gap,
         sigma=sigma,
         verdict=_verdict(gap, sigma, budget.tol_sigma),
         base_entropy=lhs,
-        independence=independence,
-        coordinate_symmetry=coordinate_symmetry,
+        independence=check_independence(z_law, 0),
+        coordinate_symmetry=check_symmetry(z_law),
         law_fingerprint=law_fingerprint(law),
         seed=budget.seed,
         budget=budget.samples,
@@ -281,20 +275,20 @@ def equality_demo_n2(base, budget=Budget()):
 
 @dataclass(frozen=True)
 class BasisIndependenceEvidence:
-    """Independence diagnostics for one rotated coordinate system."""
+    """Whether the first rotated coordinate is independent of the rest."""
 
     basis_index: int
-    mixed_partial: object
-    max_cross_z: float
+    independence: object
 
 
 @dataclass(frozen=True)
 class GaussianityProbeReport:
-    """Equality gap plus independence evidence across the basis family.
+    """Equality gap plus independence verdicts across the basis family.
 
     Gaussian laws show a near-zero gap and pass every independence check;
     non-Gaussian symmetric laws show a positive gap and fail at least one.
-    Both facts are recorded as numerical evidence, not asserted as proof.
+    The gap is a numerical estimate; each independence verdict is exact,
+    decided from the components of the rotated law.
     """
 
     main: InequalityReport
@@ -306,37 +300,27 @@ class GaussianityProbeReport:
         return self.main.gap
 
 
-def gaussianity_probe(mix, budget=Budget(), probes=32):
-    """Measure the equality gap and the basis-family independence relations."""
+def gaussianity_probe(mix, budget=Budget()):
+    """Measure the equality gap and decide the basis-family independence relations.
+
+    For each basis of :func:`proof_basis_family`, the rotated law's first
+    coordinate Z_0 is checked for independence from the rest by
+    :func:`check_independence`.  Where it is independent, the score
+    component rho_0 depends on z_0 alone and has mean zero, so every cross
+    term E[rho_0 rho_j] vanishes exactly and needs no estimate.
+    """
     if mix.dim < 3:
         raise DimensionTooSmallError(f"probe needs n >= 3 (got {mix.dim})")
     main = verify_main(mix, budget)
-    family = proof_basis_family(mix.dim)
-    cross_count = max(2000, budget.samples // 10)
-    evidence = []
-    failures = []
-    for idx, basis in enumerate(family.bases):
-        z_law = push_forward_linear(mix, basis.matrix.T)
-        mp = mixed_partial_independence(
-            z_law, 0, probes=probes, seed=split_seed(budget.seed, 100 + idx)
+    evidence = tuple(
+        BasisIndependenceEvidence(
+            basis_index=idx,
+            independence=check_independence(push_forward_linear(mix, basis.matrix.T), 0),
         )
-        zs = []
-        for j in range(1, mix.dim):
-            ct = cross_term_mc(z_law, 0, j, cross_count, split_seed(budget.seed, 200 + idx))
-            if ct.stderr > 0:
-                zs.append(abs(ct.value) / ct.stderr)
-        evidence.append(
-            BasisIndependenceEvidence(
-                basis_index=idx,
-                mixed_partial=mp,
-                max_cross_z=float(max(zs)) if zs else 0.0,
-            )
-        )
-        if not mp.verdict:
-            failures.append(idx)
-    return GaussianityProbeReport(
-        main=main, evidence=tuple(evidence), independence_failures=tuple(failures)
+        for idx, basis in enumerate(proof_basis_family(mix.dim).bases)
     )
+    failures = tuple(ev.basis_index for ev in evidence if not ev.independence.verdict)
+    return GaussianityProbeReport(main=main, evidence=evidence, independence_failures=failures)
 
 
 @dataclass(frozen=True)

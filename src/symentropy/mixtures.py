@@ -32,6 +32,7 @@ from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
     EmptyMixtureError,
+    IndexOutOfRangeError,
     InvalidComponentError,
     NegativeTimeError,
     NotPositiveDefiniteError,
@@ -278,6 +279,23 @@ class SymmetryReport:
     asymmetric_coordinates: tuple
 
 
+@dataclass(frozen=True)
+class IndependenceReport:
+    """Whether one coordinate of the law is independent of the rest, and why.
+
+    ``max_cross_covariance`` is the largest rounded ``|Sigma_k[i, rest]|``,
+    ``max_weight_residual`` the largest rounded ``|W - outer(p, q)|`` of the
+    weight table over atom pairs, and ``atoms`` counts the distinct
+    ``Z_i`` and ``Z_rest`` atoms.
+    """
+
+    verdict: bool
+    coordinate: int
+    max_cross_covariance: float
+    max_weight_residual: float
+    atoms: tuple
+
+
 def make_gaussian_mixture(components):
     """Validate and build a :class:`GaussianMixture`.
 
@@ -493,6 +511,22 @@ def coordinate_marginals(mix):
     return marginals, not np.any(_rounded(joint_weights - product_weights))
 
 
+def _label_rows(table):
+    """Label the rows of a rounded 2-D table so that equal rows share a label.
+
+    Each row is viewed as one void scalar and compared by its bytes, which
+    :func:`_rounded` makes equal for equal values.  Returns ``(keys, first,
+    label)``: the distinct rows as sorted void scalars, the index of each
+    one's first occurrence, and each row's index into ``keys``.
+    """
+    table = np.ascontiguousarray(table)
+    row = np.dtype((np.void, table.shape[1] * table.itemsize))
+    keys, first, label = np.unique(
+        table.view(row).ravel(), return_index=True, return_inverse=True
+    )
+    return keys, first, label.reshape(-1)
+
+
 def check_symmetry(mix):
     """Find the coordinates whose sign flip changes a mixture, from its components.
 
@@ -509,11 +543,8 @@ def check_symmetry(mix):
     n = mix.dim
     # one row [mu | Sigma] per component; rows equal at _rounded merge
     table = _rounded(np.column_stack([mix.means, mix.covs.reshape(-1, n * n)]))
-    row = np.dtype((np.void, table.shape[1] * table.itemsize))
-    keys, first, label = np.unique(
-        table.view(row).ravel(), return_index=True, return_inverse=True
-    )
-    weights = _rounded(np.bincount(label.reshape(-1), weights=mix.weights))
+    keys, first, label = _label_rows(table)
+    weights = _rounded(np.bincount(label, weights=mix.weights))
     table = table[first]
     covs = table[:, n:].reshape(-1, n, n)
     moved = (table[:, :n] != 0.0) | (covs - covs * np.eye(n)).any(axis=2)
@@ -522,13 +553,73 @@ def check_symmetry(mix):
         s = np.ones(n)
         s[i] = -1.0
         image = table[moved[:, i]] * np.concatenate([s, np.outer(s, s).ravel()]) + 0.0
-        at = np.minimum(np.searchsorted(keys, image.view(row).ravel()), len(keys) - 1)
+        at = np.minimum(np.searchsorted(keys, image.view(keys.dtype).ravel()), len(keys) - 1)
         if not (
             np.array_equal(table[at], image)
             and np.array_equal(weights[at], weights[moved[:, i]])
         ):
             asymmetric.append(int(i))
     return SymmetryReport(not asymmetric, tuple(asymmetric))
+
+
+def _weight_residual(a, b, weights):
+    """Largest rounded ``|W - outer(p, q)|`` of the table ``W[a, b]``.
+
+    ``W[a, b]`` sums the weights of the components labelled ``(a, b)``, and
+    ``p``, ``q`` are its row and column sums.  The table is built a block of
+    rows at a time, so its memory stays bounded however many atoms there are.
+    """
+    p = np.bincount(a, weights=weights)
+    q = np.bincount(b, weights=weights)
+    step = max(1, _BLOCK_MADDS // len(q))
+    worst = 0.0
+    for start in range(0, len(p), step):
+        table = -np.outer(p[start:start + step], q)
+        inside = (a >= start) & (a < start + step)
+        np.add.at(table, (a[inside] - start, b[inside]), weights[inside])
+        worst = max(worst, float(np.abs(_rounded(table)).max()))
+    return worst
+
+
+def check_independence(mix, i):
+    """Decide whether coordinate i of a mixture is independent of the others.
+
+    With ``Z = X_i`` and ``Z_rest`` the other coordinates, a component's
+    atoms are its rounded ``(mu_i, Sigma_ii)`` and ``(mu_rest,
+    Sigma_rest,rest)``.  The verdict is True exactly when, at
+    :func:`_rounded`, every component has a zero cross-covariance block
+    ``Sigma[i, rest]`` and the weight table ``W`` over (Z_i atom, Z_rest
+    atom) pairs is the outer product of its margins.
+
+    This is exact.  An independent law is the product of its two marginal
+    mixtures, ``sum_ab p_a q_b N_a (x) N_b``, whose components all have a
+    zero cross block and product weights.  Finite Gaussian mixtures are
+    identifiable (Teicher 1963), so the law's own components, merged where
+    equal, are exactly these, and the check passes.  Conversely, when it
+    passes, every component is ``N_a (x) N_b`` with weight ``p_a q_b``, and
+    the sum factors.  No sampling and no density evaluation.
+    """
+    n = mix.dim
+    i = int(i)
+    if not 0 <= i < n:
+        raise IndexOutOfRangeError(f"i: need 0 <= i < {n} (got {i})")
+    rest = np.delete(np.arange(n), i)
+    cross = _rounded(mix.covs[:, i, rest])
+    _, _, a = _label_rows(_rounded(np.column_stack([mix.means[:, i], mix.covs[:, i, i]])))
+    if rest.size:
+        inner = mix.covs[:, rest][:, :, rest].reshape(mix.n_components, -1)
+        _, _, b = _label_rows(_rounded(np.column_stack([mix.means[:, rest], inner])))
+    else:  # Z_rest is empty: one atom
+        b = np.zeros_like(a)
+    max_cross = float(np.abs(cross).max(initial=0.0))
+    residual = _weight_residual(a, b, mix.weights)
+    return IndependenceReport(
+        verdict=max_cross == 0.0 and residual == 0.0,
+        coordinate=i,
+        max_cross_covariance=max_cross,
+        max_weight_residual=residual,
+        atoms=(int(a.max()) + 1, int(b.max()) + 1),
+    )
 
 
 ROTATION_2D = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)

@@ -176,6 +176,28 @@ def test_import_and_verify_run_without_scipy(tmp_path):
     assert loaded.strip() == "[]"
 
 
+def test_reused_parser_matches_fresh_processes(tmp_path):
+    # main builds its parser once per process: two calls with different
+    # subcommands and options must report exactly what fresh processes do
+    runs = [
+        ["kdim", "--law", "builtin:bimodal-product-n3", "--k", "2", "--n", "3",
+         "--method", "frequency_pairs", "--seed", "5", "--tol-sigma", "4"],
+        ["verify", "--law", "builtin:bimodal-product-n3"],
+    ]
+    src = os.path.dirname(os.path.dirname(se.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for k, argv in enumerate(runs):
+        fresh = tmp_path / f"fresh{k}.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "symentropy", *argv, "--out", str(fresh)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        reused = tmp_path / f"reused{k}.json"
+        assert main([*argv, "--out", str(reused)]) == 0
+        assert reused.read_bytes() == fresh.read_bytes()
+
+
 JSON_COMMANDS = {
     "verify": ["--law", "builtin:gaussian-iid-n1"],
     "equality-demo": ["--law", "builtin:gaussian-iid-n1"],
@@ -308,6 +330,26 @@ class TestProbeCommand:
         payload = json.loads(text)
         assert len(payload["independence_failures"]) >= 1
         assert payload["main"]["verdict"] == "holds"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probe", "--law", "builtin:bimodal-product-n3"],
+        ["probe", "--law", "builtin:gaussian-iid-n5"],
+        ["equality-demo", "--law", "builtin:bimodal-product-n1"],
+    ],
+)
+def test_probe_and_equality_demo_draw_nothing(argv, tmp_path, monkeypatch):
+    # independence is decided from the components; product laws need no
+    # draws for h(X) either
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no sample may be drawn")
+
+    monkeypatch.setattr(se.GaussianMixture, "sample", forbidden)
+    status, text = invoke(tmp_path, *argv)
+    assert status == 0
+    assert json.loads(text)["command"] == argv[0]
 
 
 class TestEqualityDemoCommand:

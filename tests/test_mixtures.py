@@ -7,7 +7,9 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 import symentropy as se
+from symentropy import mixtures
 from symentropy.mixtures import ROTATION_2D, _rounded
+from symentropy.streams import split_seed
 
 HALF_LOG_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 
@@ -19,8 +21,9 @@ def gaussian_entropy(cov):
 
 
 @st.composite
-def small_mixtures(draw):
-    n = draw(st.integers(1, 3))
+def small_mixtures(draw, n=None):
+    if n is None:
+        n = draw(st.integers(1, 3))
     k = draw(st.integers(1, 3))
     components = []
     for _ in range(k):
@@ -551,6 +554,118 @@ class TestCheckSymmetry:
         assert se.check_symmetry(law).verdict == (
             _merged_components(out) == _merged_components(law)
         )
+
+
+def _product(first, second):
+    """The law of (X, Y) for independent mixtures X and Y."""
+    n, m = first.dim, second.dim
+    return se.make_gaussian_mixture(
+        [
+            (wa * wb, np.concatenate([ma, mb]),
+             np.block([[ca, np.zeros((n, m))], [np.zeros((m, n)), cb]]))
+            for wa, ma, ca in first.components
+            for wb, mb, cb in second.components
+        ]
+    )
+
+
+def _rotated_laws():
+    """(case id, rotated law, probe seed): the laws whose independence the
+    probe and the equality demo decide."""
+    cases = []
+    for name in ["gaussian-iid-n3", "gaussian-iid-n5", "bimodal-product-n3", "bimodal-product-n5"]:
+        law = se.builtin_law(name)
+        for idx, basis in enumerate(se.proof_basis_family(law.dim).bases):
+            z_law = se.push_forward_linear(law, basis.matrix.T)
+            cases.append((f"{name}-basis{idx}", z_law, split_seed(0, 100 + idx)))
+    for name, base in [("bimodal", se.bimodal_1d()), ("trimodal", se.trimodal_1d()),
+                       ("gaussian", se.gaussian_iid(1))]:
+        law = se.rotated_iid_construction(base)
+        cases.append((f"equality-{name}", se.push_forward_linear(law, ROTATION_2D.T), split_seed(0, 1)))
+    return cases
+
+
+ROTATED_LAWS = _rotated_laws()
+
+
+class TestCheckIndependence:
+    @pytest.mark.parametrize("case", ROTATED_LAWS, ids=[c[0] for c in ROTATED_LAWS])
+    def test_agrees_with_mixed_partial_probe(self, case):
+        _, law, seed = case
+        probe = se.mixed_partial_independence(law, 0, probes=32, seed=seed)
+        assert se.check_independence(law, 0).verdict == probe.verdict
+
+    def test_bimodal_product_rotated_report(self):
+        basis = se.proof_basis_family(3).bases[0]
+        law = se.push_forward_linear(se.bimodal_product(3), basis.matrix.T)
+        report = se.check_independence(law, 0)
+        assert not report.verdict and report.coordinate == 0
+        # rotations keep every component's covariance the identity
+        assert report.max_cross_covariance == 0.0
+        assert report.max_weight_residual > 0.05
+        assert report.atoms == (4, 7)
+
+    # Exact cases the finite-difference probe cannot resolve: their mixed
+    # partials of log f stay far below its 1e-5 tolerance.
+    def test_moved_weight_breaks_independence(self):
+        law = se.bimodal_product(2)
+        moved = [(w + (1e-9 if k == 0 else 0.0), m, c) for k, (w, m, c) in enumerate(law.components)]
+        moved = se.make_gaussian_mixture(moved)
+        report = se.check_independence(moved, 0)
+        assert not report.verdict
+        assert report.max_cross_covariance == 0.0
+        assert report.max_weight_residual == pytest.approx(1e-9 / 4, rel=1e-2)
+        assert se.mixed_partial_independence(moved, 0).verdict
+
+    def test_small_cross_covariance_breaks_independence(self):
+        law = se.bimodal_product(2)
+        cov = np.array([[1.0, 1e-6], [1e-6, 1.0]])
+        bent = se.make_gaussian_mixture(
+            [(w, m, cov if k == 0 else c) for k, (w, m, c) in enumerate(law.components)]
+        )
+        report = se.check_independence(bent, 0)
+        assert not report.verdict
+        assert report.max_cross_covariance == 1e-6
+        assert se.mixed_partial_independence(bent, 0).verdict
+
+    def test_independent_coordinate_beside_correlated_block(self):
+        law = _product(se.bimodal_1d(), se.correlated_gaussian(0.5))
+        assert se.check_independence(law, 0).verdict
+        report = se.check_independence(law, 1)
+        assert not report.verdict
+        assert report.max_cross_covariance == 0.5
+
+    def test_one_dimensional_law_is_trivially_independent(self):
+        report = se.check_independence(se.bimodal_1d(), 0)
+        assert report.verdict
+        assert report.atoms == (2, 1)
+
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_index_out_of_range(self, i):
+        with pytest.raises(se.IndexOutOfRangeError):
+            se.check_independence(se.gaussian_iid(3), i)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_weight_table_blocks_change_nothing(self, monkeypatch, block):
+        laws = [law for _, law, _ in ROTATED_LAWS]
+        expected = [se.check_independence(law, 0) for law in laws]
+        monkeypatch.setattr(mixtures, "_BLOCK_MADDS", block)
+        assert [se.check_independence(law, 0) for law in laws] == expected
+
+    def test_draws_no_sample_and_evaluates_no_density(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("check_independence must not sample or evaluate densities")
+
+        monkeypatch.setattr(se.GaussianMixture, "log_density", forbidden)
+        monkeypatch.setattr(se.GaussianMixture, "sample", forbidden)
+        assert se.check_independence(se.bimodal_product(8), 3).verdict
+        assert not se.check_independence(se.correlated_gaussian(-0.9), 1).verdict
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_mixtures(n=1), small_mixtures(n=2))
+    def test_product_with_symmetrized_block_is_independent(self, first, second):
+        law = _product(first, se.symmetrize(second))
+        assert se.check_independence(law, 0).verdict
 
 
 class TestRotatedIid:

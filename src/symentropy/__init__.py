@@ -38,7 +38,6 @@ from .errors import (
     RankDeficientError,
     SymentropyError,
     TooFewSamplesError,
-    TruncationInsufficientError,
     UnsupportedDimensionError,
     UnsupportedShapeError,
 )
@@ -47,7 +46,6 @@ from .estimators import (
     FisherEstimate,
     MixedPartialReport,
     MomentEstimate,
-    QuadratureSpec,
     ScoreProjectionReport,
     cross_term_mc,
     entropy_decomposed,
@@ -87,7 +85,6 @@ from .harness import (
 )
 from .heat_flow import FisherPath, entropy_via_debruijn, fisher_path
 from .mixtures import (
-    DensityModel,
     GaussianMixture,
     IndependenceReport,
     SymmetryReport,

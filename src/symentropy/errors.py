@@ -72,10 +72,6 @@ class NonFiniteScoreError(SymentropyError):
     """A sample produced a non-finite score."""
 
 
-class TruncationInsufficientError(SymentropyError):
-    """Quadrature truncation radius leaves more than 1e-12 tail mass."""
-
-
 class TooFewSamplesError(SymentropyError):
     """The nearest-neighbor estimator needs at least 2k+2 samples."""
 

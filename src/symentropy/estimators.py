@@ -2,13 +2,13 @@
 
 Three independent entropy routes (Monte Carlo on the own log-density,
 composite Gauss-Legendre quadrature for 1-D laws, ``quadrature_1d``, and
-nearest-neighbor distances from samples alone) cross-check each other.  The
-same composite rule, as a tensor product, integrates 2-D mixtures
-(``quadrature_2d``), and it gives the Fisher information of 1-D and 2-D
-mixtures without draws.  :func:`projection_entropy` takes a (D, n) block
-of unit directions and returns one estimate per row: the D line laws a . X
-are integrated together, with panel doubling only for the rows that have
-not converged.  A decomposed route adds the quadrature entropies of
+nearest-neighbor distances from samples alone) cross-check each other.
+Every 1-D entropy and Fisher integral is the line-law rule, one array
+kernel over the (D, K) component arrays of D 1-D mixtures:
+:func:`projection_entropy` passes the D line laws a . X of unit directions,
+the other 1-D estimators the law's own row.  2-D mixtures take the tensor
+product of the rule through the mixture kernel (``quadrature_2d``).  A
+decomposed route adds the quadrature entropies of
 a mixture's coordinate marginals and subtracts a Monte Carlo total
 correlation, which is exactly zero, with no draws, when the mixture is their
 product.  Alongside are Monte Carlo estimators for the Fisher information,
@@ -32,14 +32,12 @@ from .errors import (
     NotUnitVectorError,
     RankDeficientError,
     TooFewSamplesError,
-    TruncationInsufficientError,
 )
-from .mixtures import GaussianMixture, coordinate_marginals, line_laws, push_forward_linear
+from .mixtures import coordinate_marginals, line_laws, push_forward_linear
 from .streams import CHUNK_SIZE, mc_mean, split_seed
 
 _GL_PANEL = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_PANEL)
-_TAIL_BOUND = 1e-12
 _ROUNDING_FLOOR = 1e-12
 
 
@@ -70,14 +68,6 @@ class MomentEstimate:
     value: float
     stderr: float
     count: int
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Truncation radius (None: derive from mixture tails) and node budget."""
-
-    radius: float | None = None
-    nodes: int = 512
 
 
 def floored_stderr(stderr, value):
@@ -146,30 +136,30 @@ def cross_term_mc(d, i, j, count, seed):
 
 # --- composite Gauss-Legendre quadrature ------------------------------------
 
-# Panels per axis of a 2-D grid before any doubling: (8 * 16)^2 nodes.
+# Panels of 16 nodes before any doubling: per line law (512 nodes), and per
+# axis of a 2-D grid ((8 * 16)^2 nodes).
+_PANELS_1D = 32
 _PANELS_2D = 8
 
 
-def _normal_tail(z):
-    return np.array([0.5 * math.erfc(v / math.sqrt(2.0)) for v in z])
+def _radius(means, stds):
+    # R along the last axis: the largest |mean| plus 8 of the largest std
+    return np.max(np.abs(means), axis=-1) + 8.0 * np.max(stds, axis=-1)
 
 
-def _mixture_radius(mix):
-    # R over all coordinates: the largest |mean| plus 8 of the largest std
-    stds = np.sqrt(np.diagonal(mix.covs, axis1=1, axis2=2))
-    return float(np.max(np.abs(mix.means)) + 8.0 * np.max(stds))
+def _panel_nodes(radii, panels):
+    # ``panels`` equal panels of 16 Gauss-Legendre nodes on [-R, R], one row
+    # of nodes x and weights w per radius R
+    edges = np.ascontiguousarray(np.linspace(-radii, radii, panels + 1, axis=-1))
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    shape = np.shape(radii) + (-1,)
+    x = (mid[..., None] + half[..., None] * _GL_NODES).reshape(shape)
+    w = (half[..., None] * _GL_WEIGHTS).reshape(shape)
+    return x, w
 
 
-def _mixture_tail_mass(mix, radius):
-    mus = mix.means[:, 0]
-    stds = np.sqrt(mix.covs[:, 0, 0])
-    upper = _normal_tail((radius - mus) / stds)
-    lower = _normal_tail((radius + mus) / stds)
-    return float(np.sum(mix.weights * (upper + lower)))
-
-
-def _log_density(d, x):
-    lf = np.asarray(d.log_density(x))
+def _checked_log_density(lf):
     if np.any(np.isnan(lf)) or np.any(np.isposinf(lf)):
         raise NonFiniteLogDensityError("log-density NaN or +inf inside quadrature range")
     return lf
@@ -181,40 +171,28 @@ def _neg_x_exp_x(lf):
 
 
 def _neg_f_log_f(d, x):
-    return _neg_x_exp_x(_log_density(d, x))
+    return _neg_x_exp_x(_checked_log_density(np.asarray(d.log_density(x))))
 
 
 def _f_score_squared(d, x):
-    lf = _log_density(d, x)
+    lf = _checked_log_density(np.asarray(d.log_density(x)))
     rho = np.asarray(d.score(x))
     if not np.all(np.isfinite(rho)):
         raise NonFiniteScoreError("score non-finite inside quadrature range")
     return np.exp(lf) * np.einsum("ij,ij->i", rho, rho)
 
 
-def _panel_integral(integrand, d, radius, panels):
-    # ``panels`` equal panels of 16 Gauss-Legendre nodes on [-R, R] per axis;
-    # a 2-D grid is their tensor product, taken in slabs of whole grid rows
-    # of at most CHUNK_SIZE nodes.
-    edges = np.linspace(-radius, radius, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    if d.dim == 1:
-        rows = CHUNK_SIZE
-        parts = [
-            w[s : s + rows] @ integrand(d, x[s : s + rows, None])
-            for s in range(0, x.size, rows)
-        ]
-    else:
-        rows = max(1, CHUNK_SIZE // x.size)
-        parts = []
-        for s in range(0, x.size, rows):
-            xs = x[s : s + rows]
-            points = np.column_stack([np.repeat(xs, x.size), np.tile(x, xs.size)])
-            values = integrand(d, points).reshape(xs.size, x.size)
-            parts.append(w[s : s + rows] @ values @ w)
+def _panel_integral(integrand, mix, radius, panels):
+    # the tensor product of the 1-D rule on [-R, R]^2, taken in slabs of
+    # whole grid rows of at most CHUNK_SIZE nodes
+    x, w = _panel_nodes(radius, panels)
+    rows = max(1, CHUNK_SIZE // x.size)
+    parts = []
+    for s in range(0, x.size, rows):
+        xs = x[s : s + rows]
+        points = np.column_stack([np.repeat(xs, x.size), np.tile(x, xs.size)])
+        values = integrand(mix, points).reshape(xs.size, x.size)
+        parts.append(w[s : s + rows] @ values @ w)
     return math.fsum(parts)
 
 
@@ -247,33 +225,47 @@ def _quadrature(integrate, rows, panels):
     return values, stderrs, final.tolist()
 
 
-def _law_quadrature(integrand, d, radius, panels):
-    """One law's integral of ``integrand(d, points)`` over [-R, R]^dim, dim in {1, 2}.
+def _grid_quadrature(integrand, mix):
+    """A 2-D law's integral of ``integrand(mix, points)`` over [-R, R]^2.
 
-    The one-row case of :func:`_quadrature`; returns the value, its stderr
-    and the node count of the final grid.
+    R is that of :func:`_radius` over both coordinates, and the grid
+    starts at 8 panels per axis; the one-row case of :func:`_quadrature`.
+    Returns the value, its stderr and the node count of the final grid.
     """
+    stds = np.sqrt(np.diagonal(mix.covs, axis1=1, axis2=2))
+    radius = float(_radius(mix.means.ravel(), stds.ravel()))
     [value], [stderr], [panels] = _quadrature(
-        lambda _, p: np.array([_panel_integral(integrand, d, radius, p)]), 1, panels
+        lambda _, p: np.array([_panel_integral(integrand, mix, radius, p)]), 1, _PANELS_2D
     )
-    return value, stderr, (panels * _GL_PANEL) ** d.dim
+    return value, stderr, (panels * _GL_PANEL) ** 2
 
 
-def _line_entropies(means, variances, log_weights, radii, panels):
-    """-∫ f_d log f_d over [-R_d, R_d] for the 1-D mixtures f_d, one per row.
+def _line_neg_f_log_f(t, top, x, means, variances):
+    return _neg_x_exp_x(_checked_log_density(np.log(t.sum(axis=1)) + top))
 
-    Row d of ``means`` and ``variances`` holds the components of f_d, which
-    share ``log_weights``.  The rule is :func:`_panel_integral`'s on each
-    row's own range; the log-densities are one log-sum-exp over rows x
-    components x nodes, taken in slabs of at most CHUNK_SIZE
-    node-components.
+
+def _line_f_score_squared(t, top, x, means, variances):
+    # f rho^2 = exp(top) slope^2 / sum t, as rho = -slope / sum t
+    slope = np.einsum("ikj,ikj->ij", t, (x - means) / variances)
+    values = np.exp(top) * slope * slope / t.sum(axis=1)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteScoreError("score non-finite inside quadrature range")
+    return values
+
+
+def _line_integrals(integrand, log_weights, means, variances, radii, panels):
+    """Integrals over [-R_d, R_d] for the 1-D mixtures f_d, one per row.
+
+    Row d of the (D, K) arrays ``log_weights``, ``means`` and ``variances``
+    holds the components of f_d, and the rule is that of
+    :func:`_panel_nodes` on its own range.  The components are one pass
+    over rows x components x nodes, in slabs of at most CHUNK_SIZE
+    node-components, and ``integrand(t, top, x, means, variances)`` turns a
+    slab into the integrand at each node: ``t`` holds the weighted
+    component densities over ``exp(top)``, so f = exp(top) * sum_k t_k.
     """
     rows, k = means.shape
-    edges = np.ascontiguousarray(np.linspace(-radii, radii, panels + 1, axis=1))
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
-    x = (mid[:, :, None] + half[:, :, None] * _GL_NODES).reshape(rows, -1)
-    w = (half[:, :, None] * _GL_WEIGHTS).reshape(rows, -1)
+    x, w = _panel_nodes(radii, panels)
     consts = log_weights - 0.5 * np.log(2.0 * math.pi * variances)
     scales = -0.5 / variances
     nodes = x.shape[1]
@@ -282,7 +274,7 @@ def _line_entropies(means, variances, log_weights, radii, panels):
     out = np.empty(rows)
     for r in range(0, rows, slab_rows):
         rs = slice(r, r + slab_rows)
-        lf = np.empty_like(x[rs])
+        values = np.empty_like(x[rs])
         for c in range(0, nodes, slab_nodes):
             cs = slice(c, c + slab_nodes)
             # rows x components x nodes, so the reductions run along whole node rows
@@ -293,40 +285,48 @@ def _line_entropies(means, variances, log_weights, radii, panels):
             top = t.max(axis=1)
             t -= top[:, None, :]
             np.exp(t, out=t)
-            lf[:, cs] = np.log(t.sum(axis=1)) + top
-        if np.any(np.isnan(lf)) or np.any(np.isposinf(lf)):
-            raise NonFiniteLogDensityError("log-density NaN or +inf inside quadrature range")
-        out[rs] = np.einsum("ij,ij->i", w[rs], _neg_x_exp_x(lf))
+            values[:, cs] = integrand(
+                t, top, x[rs, None, cs], means[rs, :, None], variances[rs, :, None]
+            )
+        out[rs] = np.einsum("ij,ij->i", w[rs], values)
     return out
 
 
-def entropy_quadrature_1d(d, spec=None):
-    """Entropy of a 1-D law by adaptive composite Gauss-Legendre quadrature.
+def _line_quadrature(integrand, log_weights, means, variances):
+    """Row-wise integrals for the 1-D mixtures of (D, K) arrays, by :func:`_quadrature`.
 
-    The range [-R, R] is fixed so the mixture tail mass outside is below
-    1e-12 (R = max mean + 8 max std when not given).  Panels double until
-    the value is stable; stderr is the convergence-difference proxy
-    |result - result at half resolution|, floored at representable
-    truncation-level accuracy so it never understates the error.
+    Row d is integrated over [-R_d, R_d], R_d from :func:`_radius` on its
+    components, from 32 panels.  Returns per row the value, its stderr and
+    the node count of the final rule.
     """
-    if d.dim != 1:
-        raise ValueError(f"dim: quadrature needs a 1-D law (got dim {d.dim})")
-    spec = spec or QuadratureSpec()
-    if spec.radius is not None:
-        radius = float(spec.radius)
-        if isinstance(d, GaussianMixture):
-            tail = _mixture_tail_mass(d, radius)
-            if tail >= _TAIL_BOUND:
-                raise TruncationInsufficientError(
-                    f"radius {radius} leaves tail mass {tail:.3e} >= 1e-12"
-                )
-    elif isinstance(d, GaussianMixture):
-        radius = _mixture_radius(d)
-    else:
-        raise ValueError("radius: required for non-mixture laws")
+    radii = _radius(means, np.sqrt(variances))
+    values, stderrs, panels = _quadrature(
+        lambda rows, p: _line_integrals(
+            integrand, log_weights[rows], means[rows], variances[rows], radii[rows], p
+        ),
+        len(means),
+        _PANELS_1D,
+    )
+    return values, stderrs, [p * _GL_PANEL for p in panels]
 
-    panels = max(4, int(math.ceil(spec.nodes / _GL_PANEL)))
-    value, stderr, nodes = _law_quadrature(_neg_f_log_f, d, radius, panels)
+
+def _own_line(mix):
+    # a 1-D mixture as the one row of line-law arrays
+    return np.log(mix.weights)[None, :], mix.means.T, mix.covs[:, 0, 0][None, :]
+
+
+def entropy_quadrature_1d(mix):
+    """Entropy of a 1-D mixture by adaptive composite Gauss-Legendre quadrature.
+
+    Integrates -f log f over [-R, R], R = max |mean| + 8 max std, which
+    leaves a tail mass far below 1e-12.  Panels of 16 nodes double from 32
+    until the value is stable; stderr is the convergence-difference proxy
+    |result - result at half resolution|, floored at the rounding level so
+    it never understates the error.
+    """
+    if mix.dim != 1:
+        raise ValueError(f"dim: quadrature needs a 1-D law (got dim {mix.dim})")
+    [value], [stderr], [nodes] = _line_quadrature(_line_neg_f_log_f, *_own_line(mix))
     return EntropyEstimate(value, stderr, "quadrature_1d", nodes)
 
 
@@ -340,20 +340,22 @@ def entropy_quadrature_2d(mix):
     """
     if mix.dim != 2:
         raise ValueError(f"dim: 2-D quadrature needs a 2-D law (got dim {mix.dim})")
-    value, stderr, nodes = _law_quadrature(_neg_f_log_f, mix, _mixture_radius(mix), _PANELS_2D)
+    value, stderr, nodes = _grid_quadrature(_neg_f_log_f, mix)
     return EntropyEstimate(value, stderr, "quadrature_2d", nodes)
 
 
 def fisher_quadrature(mix):
     """Trace Fisher information of a 1-D or 2-D mixture by quadrature of f |score|^2.
 
-    The grid, radius and doubling are those of :func:`entropy_quadrature_1d`
-    (default nodes) in 1-D and of :func:`entropy_quadrature_2d` in 2-D.
+    The rule, radius and doubling are those of :func:`entropy_quadrature_1d`
+    in 1-D and of :func:`entropy_quadrature_2d` in 2-D.
     """
-    if mix.dim not in (1, 2):
+    if mix.dim == 1:
+        [value], [stderr], [nodes] = _line_quadrature(_line_f_score_squared, *_own_line(mix))
+    elif mix.dim == 2:
+        value, stderr, nodes = _grid_quadrature(_f_score_squared, mix)
+    else:
         raise ValueError(f"dim: Fisher quadrature needs a 1-D or 2-D law (got dim {mix.dim})")
-    panels = _PANELS_2D if mix.dim == 2 else QuadratureSpec().nodes // _GL_PANEL
-    value, stderr, nodes = _law_quadrature(_f_score_squared, mix, _mixture_radius(mix), panels)
     return FisherEstimate(value, stderr, f"quadrature_{mix.dim}d", nodes)
 
 
@@ -362,9 +364,9 @@ def projection_entropy(mix, directions):
 
     ``directions`` is a (D, n) block of unit rows.  The law of each a . X is
     the exact 1-D mixture of :func:`line_laws`, and its entropy is the rule
-    of :func:`entropy_quadrature_1d` at the default nodes: the same radius,
-    panels and doubling, applied to all rows at once.  The error names the
-    first row whose norm differs from 1 by more than 1e-10.
+    of :func:`entropy_quadrature_1d`: the same radius, panels and doubling,
+    applied to all rows at once.  The error names the first row whose norm
+    differs from 1 by more than 1e-10.
     """
     directions = np.asarray(directions, dtype=float)
     if directions.ndim == 2:  # line_laws rejects any other shape
@@ -375,16 +377,10 @@ def projection_entropy(mix, directions):
                 f"directions row {off[0]}: norm {norms[off[0]]} differs from 1 by > 1e-10"
             )
     weights, means, variances = line_laws(mix, directions)
-    log_weights = np.log(weights)
-    radii = np.max(np.abs(means), axis=1) + 8.0 * np.max(np.sqrt(variances), axis=1)
-    values, stderrs, panels = _quadrature(
-        lambda rows, p: _line_entropies(means[rows], variances[rows], log_weights, radii[rows], p),
-        len(directions),
-        QuadratureSpec().nodes // _GL_PANEL,
-    )
+    log_weights = np.broadcast_to(np.log(weights), means.shape)
+    values, stderrs, nodes = _line_quadrature(_line_neg_f_log_f, log_weights, means, variances)
     return [
-        EntropyEstimate(v, s, "quadrature_1d", p * _GL_PANEL)
-        for v, s, p in zip(values, stderrs, panels)
+        EntropyEstimate(v, s, "quadrature_1d", c) for v, s, c in zip(values, stderrs, nodes)
     ]
 
 

@@ -24,7 +24,6 @@ from .estimators import (
     EntropyEstimate,
     entropy_decomposed,
     entropy_mc,
-    entropy_quadrature_1d,
     entropy_quadrature_2d,
     fisher_mc,
     fisher_quadrature,
@@ -181,13 +180,12 @@ def verify_kdim(mix, projection, budget=Budget()):
         )
     _require_symmetric(mix)
     k, n = matrix.shape
-    y_mix = push_forward_linear(mix, matrix)
     if k == 1:
-        lhs = entropy_quadrature_1d(y_mix)
+        [lhs] = projection_entropy(mix, matrix)
     elif k == 2:
-        lhs = entropy_quadrature_2d(y_mix)
+        lhs = entropy_quadrature_2d(push_forward_linear(mix, matrix))
     else:
-        lhs = entropy_mc(y_mix, budget.samples, budget.seed)
+        lhs = entropy_mc(push_forward_linear(mix, matrix), budget.samples, budget.seed)
     hx = entropy_decomposed(mix, budget.samples, budget.seed)
     sigma = math.hypot(lhs.stderr, (k / n) * hx.stderr)
     notes = (f"projection_shape={k}x{n}",)
@@ -252,10 +250,10 @@ class EqualityDemoReport:
 def equality_demo_n2(base, budget=Budget()):
     """Demonstrate h((X1+X2)/sqrt 2) = h(X)/2 for X built from i.i.d. symmetric parts."""
     law = rotated_iid_construction(base)
-    # the one-law rule on the push-forward: the decomposed h2 below takes its
-    # marginal quadratures by the same arithmetic, so the gap of the
-    # equality case is exactly zero rather than a last-digit residue
-    lhs = entropy_quadrature_1d(push_forward_linear(law, _ones_direction(2)[None, :]))
+    # the line-law rule: the decomposed h2 below takes its marginal
+    # quadratures by the same rule, so the gap of the equality case is zero
+    # up to the rounding of the line law's arrays
+    [lhs] = projection_entropy(law, _ones_direction(2)[None, :])
     h2 = entropy_decomposed(law, budget.samples, budget.seed, basis=ROTATION_2D)
     gap = lhs.value - h2.value / 2.0
     sigma = math.hypot(lhs.stderr, h2.stderr / 2.0)

@@ -248,29 +248,6 @@ class GaussianMixture:
         return f"GaussianMixture(dim={self.dim}, n_components={self.n_components})"
 
 
-class DensityModel:
-    """Generic law on R^n assembled from callables.
-
-    Exposes the same interface as :class:`GaussianMixture` (``dim``,
-    ``log_density``, ``score``, ``sample``) so estimators accept either.
-    """
-
-    def __init__(self, dim, log_density, score, sampler):
-        self.dim = int(dim)
-        self._log_density = log_density
-        self._score = score
-        self._sampler = sampler
-
-    def log_density(self, x):
-        return self._log_density(np.asarray(x, dtype=float))
-
-    def score(self, x):
-        return self._score(np.asarray(x, dtype=float))
-
-    def sample(self, count, seed):
-        return np.asarray(self._sampler(int(count), int(seed)), dtype=float)
-
-
 @dataclass(frozen=True)
 class SymmetryReport:
     """Whether the law is sign-symmetric, and the coordinates whose flip changes it."""

@@ -58,6 +58,26 @@ class TestEntropyQuadrature:
         est = se.entropy_quadrature_1d(se.gaussian_iid(1, 0.1))
         assert est.value == pytest.approx(HALF_LOG_2PIE + 0.5 * math.log(0.1), abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "components",
+        [
+            [(1.0, [40.0], [[9.0]])],
+            [(0.3, [-30.0], [[0.25]]), (0.7, [30.0], [[9.0]])],
+        ],
+    )
+    def test_derived_radius_covers_offset_and_wide_components(self, components):
+        # R = max |mean| + 8 max std must hold the mass of a component far
+        # from the origin and of the widest one; the components barely
+        # overlap, so H = sum w_k H_k - sum w_k log w_k
+        law = se.make_gaussian_mixture(components)
+        truth = sum(
+            w * (HALF_LOG_2PIE + 0.5 * math.log(cov[0][0]) - math.log(w))
+            for w, _, cov in components
+        )
+        est = se.entropy_quadrature_1d(law)
+        assert est.value == pytest.approx(truth, abs=1e-9)
+        assert est.stderr <= 1e-9
+
     def test_rejects_multivariate(self):
         with pytest.raises(ValueError, match="1-D"):
             se.entropy_quadrature_1d(se.gaussian_iid(2))

@@ -7,13 +7,17 @@ Every 1-D entropy and Fisher integral is the line-law rule, one array
 kernel over the (D, K) component arrays of D 1-D mixtures:
 :func:`projection_entropy` passes the D line laws a . X of unit directions,
 the other 1-D estimators the law's own row.  2-D mixtures take the tensor
-product of the rule through the mixture kernel (``quadrature_2d``).  A
-decomposed route adds the quadrature entropies of
-a mixture's coordinate marginals and subtracts a Monte Carlo total
-correlation, which is exactly zero, with no draws, when the mixture is their
-product.  Alongside are Monte Carlo estimators for the Fisher information,
-score cross terms, the conditional-score projection identity, and a
-mixed-partial independence probe.
+product of the rule through the mixture kernel (``quadrature_2d``).  A law
+whose components are closed under mu -> -mu has an even integrand, so the
+rule evaluates only its nodes with a nonnegative first coordinate, at doubled
+weights: half of them.  The ``count`` of an estimate is still the node count
+of the full rule.  A decomposed route adds the quadrature entropies of a
+mixture's coordinate marginals, each distinct one integrated once, and
+subtracts a Monte Carlo total correlation, which is exactly zero, with no
+draws, when the mixture is their product.  Alongside are Monte Carlo
+estimators for the Fisher information, score cross terms, the
+conditional-score projection identity, and a mixed-partial independence
+probe.
 
 Monte Carlo estimators report stderr from the sample variance and accept
 results statistically (z-scores), never with hidden absolute tolerances.
@@ -147,16 +151,38 @@ def _radius(means, stds):
     return np.max(np.abs(means), axis=-1) + 8.0 * np.max(stds, axis=-1)
 
 
-def _panel_nodes(radii, panels):
+def _panel_nodes(radii, panels, fold=False):
     # ``panels`` equal panels of 16 Gauss-Legendre nodes on [-R, R], one row
-    # of nodes x and weights w per radius R
-    edges = np.ascontiguousarray(np.linspace(-radii, radii, panels + 1, axis=-1))
+    # of nodes x and weights w per radius R; folded, the ``panels // 2`` of
+    # them on [0, R] at doubled weights, which is the same rule for an even
+    # integrand
+    low, count = (0.0, panels // 2) if fold else (-radii, panels)
+    edges = np.ascontiguousarray(np.linspace(low, radii, count + 1, axis=-1))
     half = 0.5 * (edges[..., 1:] - edges[..., :-1])
     mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
     shape = np.shape(radii) + (-1,)
     x = (mid[..., None] + half[..., None] * _GL_NODES).reshape(shape)
     w = (half[..., None] * _GL_WEIGHTS).reshape(shape)
-    return x, w
+    return x, 2.0 * w if fold else w
+
+
+def _point_symmetric(fields, means):
+    """Per law, whether its components are closed under mu -> -mu, exactly.
+
+    ``fields`` (..., K, F) holds what the flip keeps of each of K components
+    and ``means`` (..., K, M) their means; a law is point-symmetric when its
+    rows ``[fields | mu]`` and ``[fields | -mu]``, each sorted along the
+    component axis, are equal bit for bit (``+ 0.0`` makes -0.0 equal 0.0).
+    No tolerance: a law symmetric only up to rounding is not folded.
+    """
+
+    def ordered(rows):
+        order = np.lexsort(np.moveaxis(rows, -1, 0), axis=-1)
+        return np.take_along_axis(rows, order[..., None], axis=-2)
+
+    rows = np.concatenate([fields, means], axis=-1) + 0.0
+    images = np.concatenate([fields, -means], axis=-1) + 0.0
+    return np.all(ordered(rows) == ordered(images), axis=(-2, -1))
 
 
 def _checked_log_density(lf):
@@ -182,17 +208,19 @@ def _f_score_squared(d, x):
     return np.exp(lf) * np.einsum("ij,ij->i", rho, rho)
 
 
-def _panel_integral(integrand, mix, radius, panels):
+def _panel_integral(integrand, mix, radius, panels, fold):
     # the tensor product of the 1-D rule on [-R, R]^2, taken in slabs of
-    # whole grid rows of at most CHUNK_SIZE nodes
+    # whole grid rows of at most CHUNK_SIZE nodes; folded, the first
+    # coordinate takes the folded rule on [0, R]
     x, w = _panel_nodes(radius, panels)
+    x_rows, w_rows = _panel_nodes(radius, panels, fold)
     rows = max(1, CHUNK_SIZE // x.size)
     parts = []
-    for s in range(0, x.size, rows):
-        xs = x[s : s + rows]
+    for s in range(0, x_rows.size, rows):
+        xs = x_rows[s : s + rows]
         points = np.column_stack([np.repeat(xs, x.size), np.tile(x, xs.size)])
         values = integrand(mix, points).reshape(xs.size, x.size)
-        parts.append(w[s : s + rows] @ values @ w)
+        parts.append(w_rows[s : s + rows] @ values @ w)
     return math.fsum(parts)
 
 
@@ -230,12 +258,19 @@ def _grid_quadrature(integrand, mix):
 
     R is that of :func:`_radius` over both coordinates, and the grid
     starts at 8 panels per axis; the one-row case of :func:`_quadrature`.
-    Returns the value, its stderr and the node count of the final grid.
+    A law invariant under x -> -x (:func:`_point_symmetric` on its weights
+    and covariances) evaluates only the half-grid of nonnegative first
+    coordinates.  Returns the value, its stderr and the node count of the
+    full final grid.
     """
     stds = np.sqrt(np.diagonal(mix.covs, axis1=1, axis2=2))
     radius = float(_radius(mix.means.ravel(), stds.ravel()))
+    fields = np.column_stack([mix.weights, mix.covs.reshape(len(mix.weights), -1)])
+    fold = bool(_point_symmetric(fields, mix.means))
     [value], [stderr], [panels] = _quadrature(
-        lambda _, p: np.array([_panel_integral(integrand, mix, radius, p)]), 1, _PANELS_2D
+        lambda _, p: np.array([_panel_integral(integrand, mix, radius, p, fold)]),
+        1,
+        _PANELS_2D,
     )
     return value, stderr, (panels * _GL_PANEL) ** 2
 
@@ -253,19 +288,20 @@ def _line_f_score_squared(t, top, x, means, variances):
     return values
 
 
-def _line_integrals(integrand, log_weights, means, variances, radii, panels):
+def _line_integrals(integrand, log_weights, means, variances, radii, panels, fold):
     """Integrals over [-R_d, R_d] for the 1-D mixtures f_d, one per row.
 
     Row d of the (D, K) arrays ``log_weights``, ``means`` and ``variances``
     holds the components of f_d, and the rule is that of
-    :func:`_panel_nodes` on its own range.  The components are one pass
+    :func:`_panel_nodes` on its own range, folded onto [0, R_d] for every
+    row when ``fold`` is set.  The components are one pass
     over rows x components x nodes, in slabs of at most CHUNK_SIZE
     node-components, and ``integrand(t, top, x, means, variances)`` turns a
     slab into the integrand at each node: ``t`` holds the weighted
     component densities over ``exp(top)``, so f = exp(top) * sum_k t_k.
     """
     rows, k = means.shape
-    x, w = _panel_nodes(radii, panels)
+    x, w = _panel_nodes(radii, panels, fold)
     consts = log_weights - 0.5 * np.log(2.0 * math.pi * variances)
     scales = -0.5 / variances
     nodes = x.shape[1]
@@ -296,17 +332,25 @@ def _line_quadrature(integrand, log_weights, means, variances):
     """Row-wise integrals for the 1-D mixtures of (D, K) arrays, by :func:`_quadrature`.
 
     Row d is integrated over [-R_d, R_d], R_d from :func:`_radius` on its
-    components, from 32 panels.  Returns per row the value, its stderr and
-    the node count of the final rule.
+    components, from 32 panels; a row whose law :func:`_point_symmetric`
+    finds invariant under x -> -x is integrated over [0, R_d] only.  Returns
+    per row the value, its stderr and the node count of the full final rule.
     """
     radii = _radius(means, np.sqrt(variances))
-    values, stderrs, panels = _quadrature(
-        lambda rows, p: _line_integrals(
-            integrand, log_weights[rows], means[rows], variances[rows], radii[rows], p
-        ),
-        len(means),
-        _PANELS_1D,
-    )
+    fold = _point_symmetric(np.stack([log_weights, variances], axis=-1), means[..., None])
+
+    def integrate(rows, panels):
+        out = np.empty(len(rows))
+        for folded in (True, False):
+            part = fold[rows] == folded
+            if np.any(part):
+                r = rows[part]
+                out[part] = _line_integrals(
+                    integrand, log_weights[r], means[r], variances[r], radii[r], panels, folded
+                )
+        return out
+
+    values, stderrs, panels = _quadrature(integrate, len(means), _PANELS_1D)
     return values, stderrs, [p * _GL_PANEL for p in panels]
 
 
@@ -322,7 +366,9 @@ def entropy_quadrature_1d(mix):
     leaves a tail mass far below 1e-12.  Panels of 16 nodes double from 32
     until the value is stable; stderr is the convergence-difference proxy
     |result - result at half resolution|, floored at the rounding level so
-    it never understates the error.
+    it never understates the error.  A law invariant under x -> -x is
+    integrated over [0, R] at doubled weights; ``count`` is the node count
+    of the full rule.
     """
     if mix.dim != 1:
         raise ValueError(f"dim: quadrature needs a 1-D law (got dim {mix.dim})")
@@ -336,7 +382,10 @@ def entropy_quadrature_2d(mix):
     Integrates -f log f over the square [-R, R]^2, R = max |mean| + 8 max
     std over both coordinates, with 8 panels of 16 nodes per axis doubled
     as in :func:`entropy_quadrature_1d`, so the grid holds at most 1024^2
-    nodes and is evaluated CHUNK_SIZE nodes at a time.
+    nodes and is evaluated CHUNK_SIZE nodes at a time.  A law invariant
+    under x -> -x evaluates only the half of the grid with a nonnegative
+    first coordinate; ``count`` is the node count of the full grid either
+    way.
     """
     if mix.dim != 2:
         raise ValueError(f"dim: 2-D quadrature needs a 2-D law (got dim {mix.dim})")
@@ -384,6 +433,20 @@ def projection_entropy(mix, directions):
     ]
 
 
+def _each_marginal(estimate, marginals):
+    """``[estimate(m) for m in marginals]``, computing each distinct marginal once.
+
+    Marginals are the same when their weights, means and covariances are
+    equal byte for byte, as the n marginals of an exchangeable law are.
+    """
+    keys = [(m.weights.tobytes(), m.means.tobytes(), m.covs.tobytes()) for m in marginals]
+    done = {}
+    for key, m in zip(keys, marginals):
+        if key not in done:
+            done[key] = estimate(m)
+    return [done[key] for key in keys]
+
+
 def entropy_decomposed(mix, count, seed, basis=None):
     """Entropy of a mixture as marginal quadratures minus a total correlation.
 
@@ -391,13 +454,13 @@ def entropy_decomposed(mix, count, seed, basis=None):
     when None), ``h(X) = sum_i h(Z_i) - TC(Z) - log|det B|``, where the
     total correlation ``TC(Z) = E[log f_Z(Z) - sum_i log f_{Z_i}(Z_i)]``
     (Watanabe 1960) is the only term that needs draws.  Each ``h(Z_i)``
-    comes from :func:`entropy_quadrature_1d`.  When :func:`coordinate_marginals`
-    finds Z to be the product of its marginals, TC is exactly zero and no
-    sample is drawn (``count`` 0 in the result); otherwise TC is the mean
-    of the per-sample statistic over ``count`` draws of Z.  The stderr
-    combines the TC stderr with the quadrature stderrs, floored at the
-    rounding level.  For an orthogonal ``B`` the log-determinant is zero
-    up to rounding.
+    comes from :func:`entropy_quadrature_1d`, run once per distinct
+    marginal.  When :func:`coordinate_marginals` finds Z to be the product
+    of its marginals, TC is exactly zero and no sample is drawn (``count``
+    0 in the result); otherwise TC is the mean of the per-sample statistic
+    over ``count`` draws of Z.  The stderr combines the TC stderr with the
+    quadrature stderrs, floored at the rounding level.  For an orthogonal
+    ``B`` the log-determinant is zero up to rounding.
     """
     count = int(count)
     if count < 100:
@@ -413,7 +476,7 @@ def entropy_decomposed(mix, count, seed, basis=None):
         z_law = push_forward_linear(mix, basis.T)
         log_det = float(np.linalg.slogdet(basis)[1])
     marginals, product = coordinate_marginals(z_law)
-    parts = [entropy_quadrature_1d(m) for m in marginals]
+    parts = _each_marginal(entropy_quadrature_1d, marginals)
     if product:
         tc, tc_stderr, used = 0.0, 0.0, 0
     else:

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .estimators import (
     EntropyEstimate,
+    _each_marginal,
     entropy_decomposed,
     entropy_mc,
     entropy_quadrature_2d,
@@ -118,12 +119,18 @@ def _require_symmetric(mix):
         )
 
 
-def _directional_bound(h_x, a):
-    """h(X)/n + log(n^{n/2} prod_i |a_i|); -inf when ``a`` has a zero entry."""
-    n = a.size
-    if np.any(np.abs(a) < 1e-15):
-        return float("-inf")
-    return h_x / n + 0.5 * n * math.log(n) + float(np.sum(np.log(np.abs(a))))
+def _directional_bounds(h_x, directions):
+    """h(X)/n + log(n^{n/2} prod_i |a_i|) per row a of ``directions``, as floats.
+
+    The bound is -inf for a row with an entry below 1e-15 in magnitude,
+    whose logarithms are not taken.
+    """
+    n = directions.shape[1]
+    magnitudes = np.abs(directions)
+    zero = np.any(magnitudes < 1e-15, axis=1)
+    logs = np.log(np.where(zero[:, None], 1.0, magnitudes))
+    bounds = h_x / n + 0.5 * n * math.log(n) + np.sum(logs, axis=1)
+    return np.where(zero, -np.inf, bounds).tolist()
 
 
 def _ones_direction(n):
@@ -156,7 +163,7 @@ def verify_directional(mix, a, budget=Budget()):
     n = mix.dim
     [lhs] = projection_entropy(mix, a[None, :])
     hx = entropy_decomposed(mix, budget.samples, budget.seed)
-    rhs = _directional_bound(hx.value, a)
+    [rhs] = _directional_bounds(hx.value, a[None, :])
     notes = ("sign_convention=prod|a_i| (sign flips of a preserve the law of a.X)",)
     if rhs == float("-inf"):
         notes += ("trivial_true=zero coordinate in a",)
@@ -198,11 +205,12 @@ def _fisher_information(mix, budget):
     The trace of the Fisher information of a product law is the sum of its
     coordinates' (Stam 1959), so a law that :func:`coordinate_marginals`
     factors takes the sum of their 1-D quadratures.  Other 2-D laws take the
-    2-D quadrature, and the rest ``fisher_mc``.
+    2-D quadrature, and the rest ``fisher_mc``.  Equal marginals are
+    integrated once.
     """
     marginals, product = coordinate_marginals(mix)
     if product:
-        parts = [fisher_quadrature(m) for m in marginals]
+        parts = _each_marginal(fisher_quadrature, marginals)
         value = math.fsum(p.value for p in parts)
         stderr = floored_stderr(math.hypot(*(p.stderr for p in parts)), value)
         return value, stderr, "marginal_quadrature_1d"
@@ -385,8 +393,7 @@ def direction_scan(mix, resolution=90, budget=Budget()):
     grid = np.array([a / np.linalg.norm(a) for a in _scan_directions(n, resolution)])
     estimates = projection_entropy(mix, grid)
     rows = []
-    for a, est in zip(grid, estimates):
-        bound = _directional_bound(hx.value, a)
+    for a, est, bound in zip(grid, estimates, _directional_bounds(hx.value, grid)):
         stderr = math.hypot(est.stderr, hx.stderr / n)
         margin = est.value - bound
         rows.append(

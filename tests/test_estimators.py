@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import symentropy as se
 from symentropy import estimators
@@ -185,6 +186,41 @@ class TestEntropyDecomposed:
         assert est.count == 0
         assert est.value == math.fsum(se.entropy_quadrature_1d(m).value for m in marginals)
 
+    def test_equal_marginals_are_integrated_once(self, monkeypatch):
+        law = se.bimodal_product(8)
+        marginals, _ = se.coordinate_marginals(law)
+        expected = math.fsum(se.entropy_quadrature_1d(m).value for m in marginals)
+        calls = []
+        rule = estimators.entropy_quadrature_1d
+
+        def spy(m):
+            calls.append(m)
+            return rule(m)
+
+        monkeypatch.setattr(estimators, "entropy_quadrature_1d", spy)
+        est = se.entropy_decomposed(law, 1000, 0)
+        assert len(calls) == 1
+        assert est.value == expected
+
+    def test_distinct_marginals_are_each_integrated(self, monkeypatch):
+        # the product of a bimodal law and N(0, 2)
+        law = se.make_gaussian_mixture(
+            [(0.5, [s, 0.0], np.diag([1.0, 2.0])) for s in (-1.0, 1.0)]
+        )
+        marginals, product = se.coordinate_marginals(law)
+        assert product
+        calls = []
+        rule = estimators.entropy_quadrature_1d
+
+        def spy(m):
+            calls.append(m)
+            return rule(m)
+
+        monkeypatch.setattr(estimators, "entropy_quadrature_1d", spy)
+        est = se.entropy_decomposed(law, 1000, 0)
+        assert [m.n_components for m in calls] == [2, 1]
+        assert est.value == math.fsum(rule(m).value for m in marginals)
+
     def test_gaussian_iid_closed_form(self):
         est = se.entropy_decomposed(se.gaussian_iid(3, 2.0), 1000, 0)
         assert abs(est.value - gaussian_entropy(3, 2.0)) <= 3 * est.stderr
@@ -365,6 +401,128 @@ class TestProjectionEntropy:
         rows = np.array([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0]])
         with pytest.raises(se.NotUnitVectorError, match="row 2"):
             se.projection_entropy(se.gaussian_iid(2), rows)
+
+
+def _full_rule(monkeypatch):
+    # every law runs the unfolded rule over its whole range
+    monkeypatch.setattr(
+        estimators,
+        "_point_symmetric",
+        lambda fields, means: np.zeros(np.shape(means)[:-2], dtype=bool),
+    )
+
+
+def _line_folds(monkeypatch):
+    # the fold flag of every _line_integrals call, in order
+    folds = []
+    line_integrals = estimators._line_integrals
+
+    def spy(integrand, log_weights, means, variances, radii, panels, fold):
+        folds.append(fold)
+        return line_integrals(integrand, log_weights, means, variances, radii, panels, fold)
+
+    monkeypatch.setattr(estimators, "_line_integrals", spy)
+    return folds
+
+
+def _sum_rules(n):
+    law = se.bimodal_product(n)
+    ones = np.ones((1, n)) / math.sqrt(n)
+    return [*se.projection_entropy(law, ones), se.fisher_quadrature(se.push_forward_linear(law, ones))]
+
+
+def _pair_rules(k, n, method):
+    law = se.bimodal_product(n)
+    pair = se.push_forward_linear(law, se.balanced_projection(k, n, method).matrix)
+    return [se.entropy_quadrature_2d(pair), se.fisher_quadrature(pair)]
+
+
+FOLDED_RULES = {
+    "scan-bimodal-product-n3": lambda: se.projection_entropy(se.bimodal_product(3), _scan_grid(3)),
+    "scan-rotated-bimodal": lambda: se.projection_entropy(se.rotated_bimodal(), _scan_grid(2)),
+    "sum-bimodal-product-n1": lambda: _sum_rules(1),
+    "sum-bimodal-product-n3": lambda: _sum_rules(3),
+    "sum-bimodal-product-n8": lambda: _sum_rules(8),
+    "kdim-hadamard-2x4": lambda: _pair_rules(2, 4, "hadamard"),
+    "kdim-frequency-pairs-2x3": lambda: _pair_rules(2, 3, "frequency_pairs"),
+}
+
+
+class TestSymmetryFolding:
+    @pytest.mark.parametrize("case", sorted(FOLDED_RULES))
+    def test_folded_rule_agrees_with_full_rule(self, monkeypatch, case):
+        decide = estimators._point_symmetric
+        decisions = []
+
+        def spy(fields, means):
+            decisions.append(decide(fields, means))
+            return decisions[-1]
+
+        monkeypatch.setattr(estimators, "_point_symmetric", spy)
+        folded = FOLDED_RULES[case]()
+        assert decisions and all(np.all(d) for d in decisions)
+        _full_rule(monkeypatch)
+        full = FOLDED_RULES[case]()
+        assert len(folded) == len(full)
+        for a, b in zip(folded, full):
+            assert abs(a.value - b.value) <= 1e-13 * (1.0 + abs(b.value))
+            assert a.count == b.count
+
+    @pytest.mark.parametrize(
+        "components",
+        [
+            [(0.5, [1.0], [[1.0]]), (0.5, [-math.nextafter(1.0, 0.0)], [[1.0]])],
+            [(0.3, [1.0], [[1.0]]), (0.7, [-1.0], [[1.0]])],
+        ],
+        ids=["means-one-ulp-apart", "unequal-weights"],
+    )
+    def test_laws_not_exactly_symmetric_run_the_full_rule(self, monkeypatch, components):
+        law = se.make_gaussian_mixture(components)
+        folds = _line_folds(monkeypatch)
+        estimates = (se.entropy_quadrature_1d(law), se.fisher_quadrature(law))
+        assert folds and not any(folds)
+        _full_rule(monkeypatch)
+        assert (se.entropy_quadrature_1d(law), se.fisher_quadrature(law)) == estimates
+
+    # a mean within symmetrize's merge rounding of 0 is kept unreflected, so
+    # the means here are 0 or at least 1e-3 away from it
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.05, 1.0),
+                st.sampled_from([-1.0, 0.0, 1.0]),
+                st.floats(1e-3, 5.0),
+                st.floats(0.05, 4.0),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_symmetrized_laws_fold(self, components):
+        law = se.symmetrize(
+            se.make_gaussian_mixture([(w, [s * m], [[v]]) for w, s, m, v in components])
+        )
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            folds = _line_folds(monkeypatch)
+            se.entropy_quadrature_1d(law)
+        assert folds and all(folds)
+
+    def test_point_symmetric_grid_evaluates_half_the_nodes(self, monkeypatch):
+        law = se.bimodal_product(3)
+        pair = se.push_forward_linear(law, se.balanced_projection(2, 3, "frequency_pairs").matrix)
+        points = []
+        log_density = type(pair).log_density
+
+        def spy(self, x):
+            points.append(len(x))
+            return log_density(self, x)
+
+        monkeypatch.setattr(type(pair), "log_density", spy)
+        est = se.entropy_quadrature_2d(pair)
+        # one doubling: half of the 64^2 + 128^2 + 256^2 nodes of the full grids
+        assert sum(points) == 43008
+        assert est.count == 256**2
 
 
 class TestFisherMc:

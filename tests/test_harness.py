@@ -141,6 +141,22 @@ class TestVerifyFisherLemma:
         assert report.verdict == HOLDS
         assert report.gap < -3 * report.sigma  # I(Y) strictly below I(X)/n
 
+    def test_equal_marginals_share_one_quadrature(self, monkeypatch):
+        law = se.bimodal_product(3)
+        rule = harness.fisher_quadrature
+        calls = []
+
+        def spy(m):
+            calls.append(m.dim)
+            return rule(m)
+
+        monkeypatch.setattr(harness, "fisher_quadrature", spy)
+        report = se.verify_fisher_lemma(law, BUDGET)
+        # I(Y), and the one marginal that all three coordinates share
+        assert calls == [1, 1]
+        [marginal, *_] = se.coordinate_marginals(law)[0]
+        assert report.rhs == math.fsum([rule(marginal).value] * 3) / 3
+
     @pytest.mark.parametrize(
         "law, method",
         [

@@ -42,10 +42,8 @@ from .errors import (
     UnsupportedShapeError,
 )
 from .estimators import (
-    EntropyEstimate,
-    FisherEstimate,
+    Estimate,
     MixedPartialReport,
-    MomentEstimate,
     ScoreProjectionReport,
     cross_term_mc,
     entropy_decomposed,

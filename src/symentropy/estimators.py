@@ -1,8 +1,9 @@
 """Entropy and Fisher-information estimators with quantified uncertainty.
 
-Three independent entropy routes (Monte Carlo on the own log-density,
-composite Gauss-Legendre quadrature for 1-D laws, ``quadrature_1d``, and
-nearest-neighbor distances from samples alone) cross-check each other.
+Every estimator returns an :class:`Estimate`.  Three independent entropy
+routes (Monte Carlo on the own log-density, composite Gauss-Legendre
+quadrature for 1-D laws, ``quadrature_1d``, and nearest-neighbor distances
+from samples alone) cross-check each other.
 Every 1-D entropy and Fisher integral is the line-law rule, one array
 kernel over the (D, K) component arrays of D 1-D mixtures:
 :func:`projection_entropy` passes the D line laws a . X of unit directions,
@@ -19,8 +20,10 @@ estimators for the Fisher information, score cross terms, the
 conditional-score projection identity, and a mixed-partial independence
 probe.
 
-Monte Carlo estimators report stderr from the sample variance and accept
-results statistically (z-scores), never with hidden absolute tolerances.
+Every Monte Carlo mean (entropy, Fisher information, score cross term and
+total correlation) is formed by :func:`_mc_estimate`, with a stderr from the
+sample variance.  Results are accepted statistically (z-scores), never with
+hidden absolute tolerances.
 """
 
 import math
@@ -29,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     IndexOutOfRangeError,
     NonFiniteLogDensityError,
     NonFiniteScoreError,
@@ -46,31 +48,20 @@ _ROUNDING_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class EntropyEstimate:
-    """Entropy value in nats with a standard error and a method tag."""
+class Estimate:
+    """A value with its standard error, method tag and count.
+
+    ``method`` is one of mc_logdensity, mc_score, mc_cross_term,
+    mc_total_correlation, quadrature_1d, quadrature_2d, decomposed, knn,
+    debruijn and closed_form.
+    ``count`` is the draws of a Monte Carlo estimate, the node count of a
+    quadrature rule, the sample size of a kNN estimate, and 0 for a closed
+    form or a decomposition that draws nothing.
+    """
 
     value: float
     stderr: float
-    method: str  # mc_logdensity | quadrature_1d | quadrature_2d | decomposed | knn | debruijn
-    count: int
-
-
-@dataclass(frozen=True)
-class FisherEstimate:
-    """Estimated E||score||^2 (trace Fisher information) with standard error."""
-
-    value: float
-    stderr: float
-    method: str  # mc_score | quadrature_1d | quadrature_2d
-    count: int
-
-
-@dataclass(frozen=True)
-class MomentEstimate:
-    """Plain Monte Carlo moment (may be negative) with standard error."""
-
-    value: float
-    stderr: float
+    method: str
     count: int
 
 
@@ -84,36 +75,47 @@ def floored_stderr(stderr, value):
     return max(stderr, _ROUNDING_FLOOR * (1.0 + abs(value)))
 
 
-def entropy_mc(d, count, seed):
-    """Monte Carlo entropy: minus the mean log-density at own samples."""
+def _mc_estimate(law, count, seed, statistic, method, error, what):
+    """Monte Carlo mean of ``statistic(x)`` over ``count`` >= 100 draws x of ``law``.
+
+    The draws come in the chunks of :func:`mc_mean`; a statistic that is
+    not finite at some draw raises ``error``, naming ``what``.
+    """
     count = int(count)
     if count < 100:
         raise ValueError(f"count: must be >= 100 (got {count})")
 
     def stat(m, s):
-        lf = np.asarray(d.log_density(d.sample(m, s)))
-        if not np.all(np.isfinite(lf)):
-            raise NonFiniteLogDensityError("log-density non-finite at a sample point")
-        return -lf
+        values = statistic(law.sample(m, s))
+        if not np.all(np.isfinite(values)):
+            raise error(f"{what} non-finite at a sample point")
+        return values
 
-    value, stderr, n = mc_mean(stat, count, seed)
-    return EntropyEstimate(value, stderr, "mc_logdensity", n)
+    value, stderr, used = mc_mean(stat, count, seed)
+    return Estimate(value, stderr, method, used)
+
+
+def entropy_mc(d, count, seed):
+    """Monte Carlo entropy: minus the mean log-density at own samples."""
+    return _mc_estimate(
+        d,
+        count,
+        seed,
+        lambda x: -np.asarray(d.log_density(x)),
+        "mc_logdensity",
+        NonFiniteLogDensityError,
+        "log-density",
+    )
 
 
 def fisher_mc(d, count, seed):
     """Monte Carlo Fisher information: mean squared score norm at own samples."""
-    count = int(count)
-    if count < 100:
-        raise ValueError(f"count: must be >= 100 (got {count})")
 
-    def stat(m, s):
-        rho = np.asarray(d.score(d.sample(m, s)))
-        if not np.all(np.isfinite(rho)):
-            raise NonFiniteScoreError("score non-finite at a sample point")
+    def squared_norm(x):
+        rho = np.asarray(d.score(x))
         return np.einsum("ij,ij->i", rho, rho)
 
-    value, stderr, n = mc_mean(stat, count, seed)
-    return FisherEstimate(value, stderr, "mc_score", n)
+    return _mc_estimate(d, count, seed, squared_norm, "mc_score", NonFiniteScoreError, "score")
 
 
 def cross_term_mc(d, i, j, count, seed):
@@ -124,18 +126,12 @@ def cross_term_mc(d, i, j, count, seed):
         raise IndexOutOfRangeError(
             f"indices: need distinct i, j in [0, {n}) (got i={i}, j={j})"
         )
-    count = int(count)
-    if count < 100:
-        raise ValueError(f"count: must be >= 100 (got {count})")
 
-    def stat(m, s):
-        rho = np.asarray(d.score(d.sample(m, s)))
-        if not np.all(np.isfinite(rho)):
-            raise NonFiniteScoreError("score non-finite at a sample point")
+    def product(x):
+        rho = np.asarray(d.score(x))
         return rho[:, i] * rho[:, j]
 
-    value, stderr, n_used = mc_mean(stat, count, seed)
-    return MomentEstimate(value, stderr, n_used)
+    return _mc_estimate(d, count, seed, product, "mc_cross_term", NonFiniteScoreError, "score")
 
 
 # --- composite Gauss-Legendre quadrature ------------------------------------
@@ -373,7 +369,7 @@ def entropy_quadrature_1d(mix):
     if mix.dim != 1:
         raise ValueError(f"dim: quadrature needs a 1-D law (got dim {mix.dim})")
     [value], [stderr], [nodes] = _line_quadrature(_line_neg_f_log_f, *_own_line(mix))
-    return EntropyEstimate(value, stderr, "quadrature_1d", nodes)
+    return Estimate(value, stderr, "quadrature_1d", nodes)
 
 
 def entropy_quadrature_2d(mix):
@@ -390,7 +386,7 @@ def entropy_quadrature_2d(mix):
     if mix.dim != 2:
         raise ValueError(f"dim: 2-D quadrature needs a 2-D law (got dim {mix.dim})")
     value, stderr, nodes = _grid_quadrature(_neg_f_log_f, mix)
-    return EntropyEstimate(value, stderr, "quadrature_2d", nodes)
+    return Estimate(value, stderr, "quadrature_2d", nodes)
 
 
 def fisher_quadrature(mix):
@@ -405,11 +401,11 @@ def fisher_quadrature(mix):
         value, stderr, nodes = _grid_quadrature(_f_score_squared, mix)
     else:
         raise ValueError(f"dim: Fisher quadrature needs a 1-D or 2-D law (got dim {mix.dim})")
-    return FisherEstimate(value, stderr, f"quadrature_{mix.dim}d", nodes)
+    return Estimate(value, stderr, f"quadrature_{mix.dim}d", nodes)
 
 
 def projection_entropy(mix, directions):
-    """Entropies h(a . X), one :class:`EntropyEstimate` per unit row a of ``directions``.
+    """Entropies h(a . X), one :class:`Estimate` per unit row a of ``directions``.
 
     ``directions`` is a (D, n) block of unit rows.  The law of each a . X is
     the exact 1-D mixture of :func:`line_laws`, and its entropy is the rule
@@ -429,7 +425,7 @@ def projection_entropy(mix, directions):
     log_weights = np.broadcast_to(np.log(weights), means.shape)
     values, stderrs, nodes = _line_quadrature(_line_neg_f_log_f, log_weights, means, variances)
     return [
-        EntropyEstimate(v, s, "quadrature_1d", c) for v, s, c in zip(values, stderrs, nodes)
+        Estimate(v, s, "quadrature_1d", c) for v, s, c in zip(values, stderrs, nodes)
     ]
 
 
@@ -447,52 +443,47 @@ def _each_marginal(estimate, marginals):
     return [done[key] for key in keys]
 
 
-def entropy_decomposed(mix, count, seed, basis=None):
+def entropy_decomposed(mix, count, seed):
     """Entropy of a mixture as marginal quadratures minus a total correlation.
 
-    With ``Z = B^T X`` for the square matrix ``B = basis`` (the identity
-    when None), ``h(X) = sum_i h(Z_i) - TC(Z) - log|det B|``, where the
-    total correlation ``TC(Z) = E[log f_Z(Z) - sum_i log f_{Z_i}(Z_i)]``
-    (Watanabe 1960) is the only term that needs draws.  Each ``h(Z_i)``
-    comes from :func:`entropy_quadrature_1d`, run once per distinct
-    marginal.  When :func:`coordinate_marginals` finds Z to be the product
-    of its marginals, TC is exactly zero and no sample is drawn (``count``
-    0 in the result); otherwise TC is the mean of the per-sample statistic
-    over ``count`` draws of Z.  The stderr combines the TC stderr with the
-    quadrature stderrs, floored at the rounding level.  For an orthogonal
-    ``B`` the log-determinant is zero up to rounding.
+    ``h(X) = sum_i h(X_i) - TC(X)``, where the total correlation
+    ``TC(X) = E[log f(X) - sum_i log f_i(X_i)]`` (Watanabe 1960) is the only
+    term that needs draws.  Each ``h(X_i)`` comes from
+    :func:`entropy_quadrature_1d`, run once per distinct marginal.  When
+    :func:`coordinate_marginals` finds X to be the product of its marginals,
+    TC is exactly zero and no sample is drawn (``count`` 0 in the result);
+    otherwise TC is the Monte Carlo mean of the per-sample statistic over
+    ``count`` draws of X.  A law that is a product only in other coordinates,
+    such as a rotated one, is decomposed exactly when it is passed in those
+    coordinates.  The stderr combines the TC stderr with the quadrature
+    stderrs, floored at the rounding level.
     """
     count = int(count)
     if count < 100:
         raise ValueError(f"count: must be >= 100 (got {count})")
-    if basis is None:
-        z_law, log_det = mix, 0.0
-    else:
-        basis = np.asarray(basis, dtype=float)
-        if basis.shape != (mix.dim, mix.dim):
-            raise DimensionMismatchError(
-                f"basis: expected shape {(mix.dim, mix.dim)} (got {basis.shape})"
-            )
-        z_law = push_forward_linear(mix, basis.T)
-        log_det = float(np.linalg.slogdet(basis)[1])
-    marginals, product = coordinate_marginals(z_law)
+    marginals, product = coordinate_marginals(mix)
     parts = _each_marginal(entropy_quadrature_1d, marginals)
     if product:
-        tc, tc_stderr, used = 0.0, 0.0, 0
+        tc = Estimate(0.0, 0.0, "closed_form", 0)
     else:
-        def stat(m, s):
-            z = z_law.sample(m, s)
-            dependence = z_law.log_density(z)
+        def dependence(x):
+            out = mix.log_density(x)
             for i, marginal in enumerate(marginals):
-                dependence -= marginal.log_density(z[:, i : i + 1])
-            if not np.all(np.isfinite(dependence)):
-                raise NonFiniteLogDensityError("log-density non-finite at a sample point")
-            return dependence
+                out -= marginal.log_density(x[:, i : i + 1])
+            return out
 
-        tc, tc_stderr, used = mc_mean(stat, count, seed)
-    value = math.fsum(p.value for p in parts) - tc - log_det
-    stderr = math.hypot(tc_stderr, *(p.stderr for p in parts))
-    return EntropyEstimate(value, floored_stderr(stderr, value), "decomposed", used)
+        tc = _mc_estimate(
+            mix,
+            count,
+            seed,
+            dependence,
+            "mc_total_correlation",
+            NonFiniteLogDensityError,
+            "log-density",
+        )
+    value = math.fsum(p.value for p in parts) - tc.value
+    stderr = math.hypot(tc.stderr, *(p.stderr for p in parts))
+    return Estimate(value, floored_stderr(stderr, value), "decomposed", tc.count)
 
 
 # --- nearest-neighbor entropy ---------------------------------------------
@@ -566,13 +557,13 @@ def entropy_knn(samples, k=4):
     value = _knn_value(x, k, radii)
     folds = min(_KNN_FOLDS, n_samples // (k + 2))
     if folds < 2:
-        return EntropyEstimate(value, float("inf"), "knn", n_samples)
+        return Estimate(value, float("inf"), "knn", n_samples)
     fold_values = [
         _knn_value(x[f::folds], k) for f in range(folds)
     ]
     spread = float(np.std(fold_values, ddof=1) / math.sqrt(folds))
     drift = abs(float(np.mean(fold_values)) - value)
-    return EntropyEstimate(value, math.hypot(spread, drift), "knn", n_samples)
+    return Estimate(value, math.hypot(spread, drift), "knn", n_samples)
 
 
 # --- conditional-score projection check ------------------------------------

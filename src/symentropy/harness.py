@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .estimators import (
-    EntropyEstimate,
+    Estimate,
     _each_marginal,
     entropy_decomposed,
     entropy_mc,
@@ -247,7 +247,7 @@ class EqualityDemoReport:
     gap: float
     sigma: float
     verdict: str
-    base_entropy: EntropyEstimate
+    base_entropy: Estimate
     independence: object
     coordinate_symmetry: object
     law_fingerprint: str
@@ -262,10 +262,12 @@ def equality_demo_n2(base, budget=Budget()):
     # quadratures by the same rule, so the gap of the equality case is zero
     # up to the rounding of the line law's arrays
     [lhs] = projection_entropy(law, _ones_direction(2)[None, :])
-    h2 = entropy_decomposed(law, budget.samples, budget.seed, basis=ROTATION_2D)
+    # h(X) = h(R^T X) for the rotation R, and R^T X has independent
+    # coordinates, so h2 is exact and draws nothing
+    z_law = push_forward_linear(law, ROTATION_2D.T)
+    h2 = entropy_decomposed(z_law, budget.samples, budget.seed)
     gap = lhs.value - h2.value / 2.0
     sigma = math.hypot(lhs.stderr, h2.stderr / 2.0)
-    z_law = push_forward_linear(law, ROTATION_2D.T)
     return EqualityDemoReport(
         gap=gap,
         sigma=sigma,
@@ -342,7 +344,7 @@ class DirectionScanRow:
 @dataclass(frozen=True)
 class DirectionScanReport:
     rows: tuple
-    joint_entropy: EntropyEstimate
+    joint_entropy: Estimate
     argmax_direction: tuple
     law_fingerprint: str
     seed: int
@@ -441,7 +443,7 @@ def asymmetric_counterexample(rho=-0.9):
     var_sum = 1.0 + rho
     lhs_value = 0.5 * math.log(2.0 * math.pi * math.e * var_sum)
     hx = 0.5 * math.log((2.0 * math.pi * math.e) ** 2 * (1.0 - rho * rho))
-    lhs = EntropyEstimate(lhs_value, 0.0, "quadrature_1d", 0)
+    lhs = Estimate(lhs_value, 0.0, "closed_form", 0)
     sym = check_symmetry(mix)
     notes = (
         "closed_form=true",

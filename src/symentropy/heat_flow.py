@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EntropyEstimate, fisher_mc, floored_stderr
+from .estimators import Estimate, fisher_mc, floored_stderr
 from .mixtures import convolve_isotropic
 from .streams import split_seed
 
@@ -27,7 +27,7 @@ class FisherPath:
     """Fisher information of X_t = X + sqrt(t) Z along increasing times."""
 
     times: tuple
-    values: tuple  # FisherEstimate per time
+    values: tuple  # Estimate of I(X_t) per time
 
     def to_csv(self):
         lines = ["t,value,stderr"]
@@ -137,4 +137,4 @@ def entropy_via_debruijn(mix, nodes=48, count=20000, seed=0):
     value_half, _ = _debruijn_sum(mix, max(16, nodes // 2), count, seed)
     quad_se = abs(value - value_half)
     stderr = floored_stderr(math.hypot(mc_se, quad_se), value)
-    return EntropyEstimate(value, stderr, "debruijn", nodes * count)
+    return Estimate(value, stderr, "debruijn", nodes * count)

@@ -48,6 +48,7 @@ MAX_DIM = (256 << 20) // (8 * CHUNK_SIZE)
 
 _EIG_FLOOR = 1e-12
 _MERGE_DECIMALS = 12
+_SYMMETRIZE_MAX_DIM = 12
 _RANK_TOL = 1e-10
 # Multiply-adds in one matrix product of the mixture kernel, which
 # works through its points in row blocks of at most this size.  A block's
@@ -412,25 +413,29 @@ def _rounded(a):
     return np.round(a, _MERGE_DECIMALS) + 0.0
 
 
-def symmetrize(mix, max_dim=12):
+def symmetrize(mix):
     """Project a mixture onto the sign-symmetric class.
 
     Averages the 2^n coordinate sign reflections of every component and
     merges reflected duplicates by (mean, cov) fingerprint, so symmetric
-    inputs are fixed points.  Reflected covariances with the same rounded
-    fingerprint share the first such array, so rounding residues do not
-    split the output into more covariance groups.  Guarded to n <= 12
-    because the component count multiplies by up to 2^n.
+    inputs are fixed points.  Mean coordinates that round to 0 at the merge
+    rounding are set to 0 first, and each merged component keeps the first
+    reflection of its orbit, so the output's means are exact mirror images.
+    Reflected covariances with the same rounded fingerprint share the first
+    such array, so rounding residues do not split the output into more
+    covariance groups.  Guarded to n <= 12 because the component count
+    multiplies by up to 2^n.
     """
     n = mix.dim
-    if n > max_dim:
+    if n > _SYMMETRIZE_MAX_DIM:
         raise DimensionTooLargeError(
-            f"dim {n} > {max_dim}: reflection count 2^n is too large"
+            f"dim {n} > {_SYMMETRIZE_MAX_DIM}: reflection count 2^n is too large"
         )
     merged = {}
     covs = {}
     scale = 1.0 / (1 << n)
     for w, mu, cov in zip(mix.weights, mix.means, mix.covs):
+        mu = np.where(_rounded(mu) == 0.0, 0.0, mu)
         for signs in itertools.product((1.0, -1.0), repeat=n):
             s = np.asarray(signs)
             mean_r = s * mu

@@ -27,10 +27,10 @@ def split_seed(seed, index):
     return (int(seed) ^ _mix64(index)) & _M64
 
 
-def _chunk_sizes(count, chunk_size):
-    sizes = [chunk_size] * (count // chunk_size)
-    if count % chunk_size:
-        sizes.append(count % chunk_size)
+def _chunk_sizes(count):
+    sizes = [CHUNK_SIZE] * (count // CHUNK_SIZE)
+    if count % CHUNK_SIZE:
+        sizes.append(count % CHUNK_SIZE)
     return sizes
 
 
@@ -52,13 +52,14 @@ def _moments(values):
     return n, mean, m2
 
 
-def mc_mean(stat, count, seed, chunk_size=CHUNK_SIZE):
+def mc_mean(stat, count, seed):
     """Mean and standard error of ``stat(chunk_count, chunk_seed)``.
 
-    ``stat`` must return a 1-D array of per-sample statistics.  The result
-    is deterministic in ``(count, seed)``.
+    ``stat`` must return a 1-D array of per-sample statistics.  The draws
+    come in chunks of ``CHUNK_SIZE``, and the result is deterministic in
+    ``(count, seed)``.
     """
-    sizes = _chunk_sizes(int(count), chunk_size)
+    sizes = _chunk_sizes(int(count))
     seeds = [split_seed(seed, i) for i in range(len(sizes))]
     parts = [_moments(stat(m, s)) for m, s in zip(sizes, seeds)]
     total = parts[0]

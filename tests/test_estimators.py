@@ -237,7 +237,8 @@ class TestEntropyDecomposed:
     def test_rotated_bimodal_exact_in_its_rotation(self):
         from symentropy.mixtures import ROTATION_2D
 
-        est = se.entropy_decomposed(se.rotated_bimodal(), 1000, 0, basis=ROTATION_2D)
+        z_law = se.push_forward_linear(se.rotated_bimodal(), ROTATION_2D.T)
+        est = se.entropy_decomposed(z_law, 1000, 0)
         assert est.count == 0
         base = se.entropy_quadrature_1d(se.bimodal_1d()).value
         assert est.value == pytest.approx(2 * base, abs=1e-10)
@@ -258,14 +259,6 @@ class TestEntropyDecomposed:
             z.append((est.value - truth) / est.stderr)
         assert abs(np.mean(z)) < 0.5
         assert 0.7 < np.std(z, ddof=1) < 1.3
-
-    def test_scaled_basis_takes_log_determinant(self):
-        est = se.entropy_decomposed(se.gaussian_iid(2), 1000, 0, basis=2.0 * np.eye(2))
-        assert est.value == pytest.approx(gaussian_entropy(2, 1.0), abs=1e-10)
-
-    def test_rejects_non_square_basis(self):
-        with pytest.raises(se.DimensionMismatchError):
-            se.entropy_decomposed(se.gaussian_iid(2), 1000, 0, basis=np.eye(2)[:1])
 
     def test_count_validation(self):
         with pytest.raises(ValueError, match="count"):
@@ -484,15 +477,13 @@ class TestSymmetryFolding:
         _full_rule(monkeypatch)
         assert (se.entropy_quadrature_1d(law), se.fisher_quadrature(law)) == estimates
 
-    # a mean within symmetrize's merge rounding of 0 is kept unreflected, so
-    # the means here are 0 or at least 1e-3 away from it
     @settings(max_examples=25, deadline=None)
     @given(
         st.lists(
             st.tuples(
                 st.floats(0.05, 1.0),
                 st.sampled_from([-1.0, 0.0, 1.0]),
-                st.floats(1e-3, 5.0),
+                st.floats(0.0, 5.0),
                 st.floats(0.05, 4.0),
             ),
             min_size=1,
@@ -570,6 +561,62 @@ class TestCrossTerm:
             se.cross_term_mc(se.gaussian_iid(2), 0, 0, 1000, 0)
         with pytest.raises(se.IndexOutOfRangeError):
             se.cross_term_mc(se.gaussian_iid(2), 0, 2, 1000, 0)
+
+
+class _NonFiniteLaw:
+    """A 2-D law whose log-density is NaN and whose score is inf everywhere."""
+
+    dim = 2
+
+    def sample(self, count, seed):
+        return np.zeros((count, self.dim))
+
+    def log_density(self, x):
+        return np.full(len(x), np.nan)
+
+    def score(self, x):
+        return np.full(np.shape(x), np.inf)
+
+
+MC_ESTIMATES = {
+    "entropy_mc": lambda law, count: se.entropy_mc(law, count, 0),
+    "fisher_mc": lambda law, count: se.fisher_mc(law, count, 0),
+    "cross_term_mc": lambda law, count: se.cross_term_mc(law, 0, 1, count, 0),
+}
+
+
+class TestMonteCarloSkeleton:
+    @pytest.mark.parametrize(
+        "name, error, message",
+        [
+            ("entropy_mc", se.NonFiniteLogDensityError, "log-density non-finite at a sample point"),
+            ("fisher_mc", se.NonFiniteScoreError, "score non-finite at a sample point"),
+            ("cross_term_mc", se.NonFiniteScoreError, "score non-finite at a sample point"),
+        ],
+    )
+    def test_non_finite_statistic_raises(self, name, error, message):
+        with pytest.raises(error) as caught:
+            MC_ESTIMATES[name](_NonFiniteLaw(), 1000)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("name", sorted(MC_ESTIMATES))
+    def test_count_below_100_rejected(self, name):
+        with pytest.raises(ValueError, match="count"):
+            MC_ESTIMATES[name](se.gaussian_iid(2), 99)
+
+    def test_total_correlation_non_finite_raises(self, monkeypatch):
+        log_density = se.GaussianMixture.log_density
+
+        def nan_in_2d(self, x):
+            if np.shape(x)[-1] == 2:
+                return np.full(len(x), np.nan)
+            return log_density(self, x)
+
+        monkeypatch.setattr(se.GaussianMixture, "log_density", nan_in_2d)
+        with pytest.raises(
+            se.NonFiniteLogDensityError, match="log-density non-finite at a sample point"
+        ):
+            se.entropy_decomposed(se.rotated_bimodal(), 1000, 0)
 
 
 class TestScoreProjection:

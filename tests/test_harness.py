@@ -302,7 +302,7 @@ class TestDirectionScan:
             harness,
             "projection_entropy",
             lambda mix, directions: [
-                se.EntropyEstimate(v, 1e-12, "quadrature_1d", 512) for v in values
+                se.Estimate(v, 1e-12, "quadrature_1d", 512) for v in values
             ],
         )
         report = se.direction_scan(se.gaussian_iid(2), resolution=3, budget=BUDGET)
@@ -341,6 +341,10 @@ class TestAsymmetricCounterexample:
         report = se.asymmetric_counterexample(rho=0.9)
         assert report.verdict == HOLDS
         assert report.gap == pytest.approx(-COUNTEREXAMPLE_GAP, abs=1e-12)
+
+    def test_lhs_is_closed_form(self):
+        lhs = se.asymmetric_counterexample().lhs
+        assert (lhs.method, lhs.stderr, lhs.count) == ("closed_form", 0.0, 0)
 
     def test_law_is_flagged_asymmetric(self):
         report = se.asymmetric_counterexample()

@@ -1,0 +1,33 @@
+"""Every module of the package, other than ``__init__``, uses each name it imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import symentropy
+
+PACKAGE = Path(symentropy.__file__).parent
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_check_finds_an_unused_import():
+    source = "import math\nfrom os import path, sep as separator\nprint(path)\n"
+    assert _unused_imports(source) == [(1, "math"), (2, "separator")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    assert _unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []

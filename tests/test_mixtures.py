@@ -7,7 +7,7 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 import symentropy as se
-from symentropy import mixtures
+from symentropy import estimators, mixtures
 from symentropy.mixtures import ROTATION_2D, _rounded
 from symentropy.streams import split_seed
 
@@ -470,6 +470,14 @@ class TestSymmetrize:
     def test_dimension_guard(self):
         with pytest.raises(se.DimensionTooLargeError):
             se.symmetrize(se.gaussian_iid(13))
+
+    def test_mean_rounding_to_zero_becomes_zero(self):
+        law = se.make_gaussian_mixture([(0.5, [1e-13], [[1.0]]), (0.5, [2.0], [[1.0]])])
+        out = se.symmetrize(law)
+        assert out.means.ravel().tolist() == [-2.0, 0.0, 2.0]
+        assert out.weights.tolist() == [0.25, 0.5, 0.25]
+        fields = np.column_stack([out.weights, out.covs.reshape(3, -1)])
+        assert estimators._point_symmetric(fields, out.means)
 
     @settings(max_examples=15, deadline=None)
     @given(small_mixtures())

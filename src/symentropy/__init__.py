@@ -51,6 +51,7 @@ from .estimators import (
     entropy_mc,
     entropy_quadrature_1d,
     entropy_quadrature_2d,
+    fisher_decomposed,
     fisher_mc,
     fisher_quadrature,
     mixed_partial_independence,

@@ -12,13 +12,14 @@ product of the rule through the mixture kernel (``quadrature_2d``).  A law
 whose components are closed under mu -> -mu has an even integrand, so the
 rule evaluates only its nodes with a nonnegative first coordinate, at doubled
 weights: half of them.  The ``count`` of an estimate is still the node count
-of the full rule.  A decomposed route adds the quadrature entropies of a
-mixture's coordinate marginals, each distinct one integrated once, and
-subtracts a Monte Carlo total correlation, which is exactly zero, with no
-draws, when the mixture is their product.  Alongside are Monte Carlo
-estimators for the Fisher information, score cross terms, the
-conditional-score projection identity, and a mixed-partial independence
-probe.
+of the full rule.  One structure rule gives h(X) (:func:`entropy_decomposed`)
+and I(X) (:func:`fisher_decomposed`): a product of its coordinate marginals
+is the sum of their quadratures, each distinct one integrated once; another
+2-D law is its 2-D rule, if that converged; anything else draws, h(X) as the
+marginal quadratures minus a Monte Carlo total correlation and I(X) by
+:func:`fisher_mc`.  Alongside are Monte Carlo estimators for score cross
+terms, the conditional-score projection identity, and a mixed-partial
+independence probe.
 
 Every Monte Carlo mean (entropy, Fisher information, score cross term and
 total correlation) is formed by :func:`_mc_estimate`, with a stderr from the
@@ -45,6 +46,7 @@ from .streams import CHUNK_SIZE, mc_mean, split_seed
 _GL_PANEL = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_PANEL)
 _ROUNDING_FLOOR = 1e-12
+_CONVERGED = 1e-10  # largest change under panel doubling, relative to 1 + |value|
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,8 @@ class Estimate:
     """A value with its standard error, method tag and count.
 
     ``method`` is one of mc_logdensity, mc_score, mc_cross_term,
-    mc_total_correlation, quadrature_1d, quadrature_2d, decomposed, knn,
-    debruijn and closed_form.
+    mc_total_correlation, quadrature_1d, quadrature_2d,
+    marginal_quadrature_1d, decomposed, knn, debruijn and closed_form.
     ``count`` is the draws of a Monte Carlo estimate, the node count of a
     quadrature rule, the sample size of a kNN estimate, and 0 for a closed
     form or a decomposition that draws nothing.
@@ -75,15 +77,20 @@ def floored_stderr(stderr, value):
     return max(stderr, _ROUNDING_FLOOR * (1.0 + abs(value)))
 
 
+def _checked_count(count):
+    count = int(count)
+    if count < 100:
+        raise ValueError(f"count: must be >= 100 (got {count})")
+    return count
+
+
 def _mc_estimate(law, count, seed, statistic, method, error, what):
     """Monte Carlo mean of ``statistic(x)`` over ``count`` >= 100 draws x of ``law``.
 
     The draws come in the chunks of :func:`mc_mean`; a statistic that is
     not finite at some draw raises ``error``, naming ``what``.
     """
-    count = int(count)
-    if count < 100:
-        raise ValueError(f"count: must be >= 100 (got {count})")
+    count = _checked_count(count)
 
     def stat(m, s):
         values = statistic(law.sample(m, s))
@@ -226,7 +233,7 @@ def _quadrature(integrate, rows, panels):
     ``integrate(active, panels)`` returns the integrals of the rows indexed
     by ``active`` with ``panels`` panels per axis.  Each row's panels
     double, at most 3 times, until its value agrees with the one at half
-    the panels to 1e-10 relative; only rows that have not converged are
+    the panels to ``_CONVERGED``; only rows that have not converged are
     evaluated again.  Returns per row the value, its stderr (the last
     convergence difference, floored by :func:`floored_stderr`) and the
     final panels per axis.
@@ -236,7 +243,7 @@ def _quadrature(integrate, rows, panels):
     value = integrate(active, panels)
     final = np.full(rows, panels)
     for _ in range(3):
-        converged = np.abs(value - value_half) <= 1e-10 * (1.0 + np.abs(value))
+        converged = np.abs(value - value_half) <= _CONVERGED * (1.0 + np.abs(value))
         active = active[~converged[active]]
         if not active.size:
             break
@@ -429,40 +436,47 @@ def projection_entropy(mix, directions):
     ]
 
 
-def _each_marginal(estimate, marginals):
-    """``[estimate(m) for m in marginals]``, computing each distinct marginal once.
+def _marginal_sum(rule, marginals):
+    """The fsum of ``rule(m).value`` over ``marginals``, and their stderrs.
 
-    Marginals are the same when their weights, means and covariances are
-    equal byte for byte, as the n marginals of an exchangeable law are.
+    ``rule`` runs once per distinct marginal: equal weights, means and
+    covariances byte for byte, as an exchangeable law's marginals have.
     """
     keys = [(m.weights.tobytes(), m.means.tobytes(), m.covs.tobytes()) for m in marginals]
     done = {}
     for key, m in zip(keys, marginals):
         if key not in done:
-            done[key] = estimate(m)
-    return [done[key] for key in keys]
+            done[key] = rule(m)
+    parts = [done[key] for key in keys]
+    return math.fsum(p.value for p in parts), [p.stderr for p in parts]
+
+
+def _converged_grid(rule, mix):
+    # ``rule(mix)`` for a 2-D law when its grid converged, else None; the
+    # stderr of a quadrature is its last convergence difference
+    if mix.dim != 2:
+        return None
+    whole = rule(mix)
+    return whole if whole.stderr <= _CONVERGED * (1.0 + abs(whole.value)) else None
 
 
 def entropy_decomposed(mix, count, seed):
-    """Entropy of a mixture as marginal quadratures minus a total correlation.
+    """Entropy of a mixture by the structure rule, drawing only where it must.
 
-    ``h(X) = sum_i h(X_i) - TC(X)``, where the total correlation
-    ``TC(X) = E[log f(X) - sum_i log f_i(X_i)]`` (Watanabe 1960) is the only
-    term that needs draws.  Each ``h(X_i)`` comes from
-    :func:`entropy_quadrature_1d`, run once per distinct marginal.  When
-    :func:`coordinate_marginals` finds X to be the product of its marginals,
-    TC is exactly zero and no sample is drawn (``count`` 0 in the result);
-    otherwise TC is the Monte Carlo mean of the per-sample statistic over
-    ``count`` draws of X.  A law that is a product only in other coordinates,
-    such as a rotated one, is decomposed exactly when it is passed in those
-    coordinates.  The stderr combines the TC stderr with the quadrature
-    stderrs, floored at the rounding level.
+    A product of its :func:`coordinate_marginals` has ``h(X) = sum_i h(X_i)``
+    by :func:`entropy_quadrature_1d` (``count`` 0).  Another 2-D law is
+    :func:`entropy_quadrature_2d` when its grid converged.  Otherwise
+    ``h(X) = sum_i h(X_i) - TC(X)``, with the total correlation
+    ``TC(X) = E[log f(X) - sum_i log f_i(X_i)]`` (Watanabe 1960) the Monte
+    Carlo mean over ``count`` draws of X.  The stderr combines the TC and
+    quadrature stderrs, floored at the rounding level.
     """
-    count = int(count)
-    if count < 100:
-        raise ValueError(f"count: must be >= 100 (got {count})")
+    count = _checked_count(count)
     marginals, product = coordinate_marginals(mix)
-    parts = _each_marginal(entropy_quadrature_1d, marginals)
+    whole = None if product else _converged_grid(entropy_quadrature_2d, mix)
+    if whole is not None:
+        return whole
+    total, stderrs = _marginal_sum(entropy_quadrature_1d, marginals)
     if product:
         tc = Estimate(0.0, 0.0, "closed_form", 0)
     else:
@@ -473,17 +487,30 @@ def entropy_decomposed(mix, count, seed):
             return out
 
         tc = _mc_estimate(
-            mix,
-            count,
-            seed,
-            dependence,
-            "mc_total_correlation",
-            NonFiniteLogDensityError,
-            "log-density",
+            mix, count, seed, dependence,
+            "mc_total_correlation", NonFiniteLogDensityError, "log-density",
         )
-    value = math.fsum(p.value for p in parts) - tc.value
-    stderr = math.hypot(tc.stderr, *(p.stderr for p in parts))
+    value = total - tc.value
+    stderr = math.hypot(tc.stderr, *stderrs)
     return Estimate(value, floored_stderr(stderr, value), "decomposed", tc.count)
+
+
+def fisher_decomposed(mix, count, seed):
+    """Trace Fisher information of a mixture by the rule of :func:`entropy_decomposed`.
+
+    A product law's I(X) is the sum of its coordinates' (Stam 1959) by
+    :func:`fisher_quadrature` (``marginal_quadrature_1d``, ``count`` 0);
+    another 2-D law is :func:`fisher_quadrature` when its grid converged;
+    any other law is :func:`fisher_mc` over ``count`` draws.
+    """
+    count = _checked_count(count)
+    marginals, product = coordinate_marginals(mix)
+    if product:
+        value, stderrs = _marginal_sum(fisher_quadrature, marginals)
+        stderr = floored_stderr(math.hypot(*stderrs), value)
+        return Estimate(value, stderr, "marginal_quadrature_1d", 0)
+    whole = _converged_grid(fisher_quadrature, mix)
+    return fisher_mc(mix, count, seed) if whole is None else whole
 
 
 # --- nearest-neighbor entropy ---------------------------------------------

@@ -22,20 +22,15 @@ from .errors import (
 )
 from .estimators import (
     Estimate,
-    _each_marginal,
     entropy_decomposed,
-    entropy_mc,
-    entropy_quadrature_2d,
-    fisher_mc,
+    fisher_decomposed,
     fisher_quadrature,
-    floored_stderr,
     projection_entropy,
 )
 from .mixtures import (
     ROTATION_2D,
     check_independence,
     check_symmetry,
-    coordinate_marginals,
     law_fingerprint,
     push_forward_linear,
     rotated_iid_construction,
@@ -174,8 +169,8 @@ def verify_directional(mix, a, budget=Budget()):
 def verify_kdim(mix, projection, budget=Budget()):
     """Check h(A X) >= (k/n) h(X) for a balanced projection A.
 
-    The lhs is quadrature for k <= 2 and Monte Carlo (``entropy_mc``) for
-    k >= 3; the rhs is :func:`entropy_decomposed`.
+    h(A X) is :func:`projection_entropy` for k = 1 and otherwise, like
+    h(X), :func:`entropy_decomposed`.
     """
     matrix = getattr(projection, "matrix", projection)
     matrix = np.asarray(matrix, dtype=float)
@@ -189,53 +184,29 @@ def verify_kdim(mix, projection, budget=Budget()):
     k, n = matrix.shape
     if k == 1:
         [lhs] = projection_entropy(mix, matrix)
-    elif k == 2:
-        lhs = entropy_quadrature_2d(push_forward_linear(mix, matrix))
     else:
-        lhs = entropy_mc(push_forward_linear(mix, matrix), budget.samples, budget.seed)
+        lhs = entropy_decomposed(push_forward_linear(mix, matrix), budget.samples, budget.seed)
     hx = entropy_decomposed(mix, budget.samples, budget.seed)
     sigma = math.hypot(lhs.stderr, (k / n) * hx.stderr)
     notes = (f"projection_shape={k}x{n}",)
     return _inequality("thm_kdim", lhs, (k / n) * hx.value, sigma, mix, budget, notes=notes)
 
 
-def _fisher_information(mix, budget):
-    """I(X) with its stderr and how it was computed.
-
-    The trace of the Fisher information of a product law is the sum of its
-    coordinates' (Stam 1959), so a law that :func:`coordinate_marginals`
-    factors takes the sum of their 1-D quadratures.  Other 2-D laws take the
-    2-D quadrature, and the rest ``fisher_mc``.  Equal marginals are
-    integrated once.
-    """
-    marginals, product = coordinate_marginals(mix)
-    if product:
-        parts = _each_marginal(fisher_quadrature, marginals)
-        value = math.fsum(p.value for p in parts)
-        stderr = floored_stderr(math.hypot(*(p.stderr for p in parts)), value)
-        return value, stderr, "marginal_quadrature_1d"
-    if mix.dim == 2:
-        fx = fisher_quadrature(mix)
-    else:
-        fx = fisher_mc(mix, budget.samples, budget.seed)
-    return fx.value, fx.stderr, fx.method
-
-
 def verify_fisher_lemma(mix, budget=Budget()):
     """Check I(sum_i X_i / sqrt n) <= I(X) / n for a symmetric law.
 
-    I(Y) of the 1-D sum is quadrature; the note ``fisher_x`` says how I(X)
-    was computed (see :func:`_fisher_information`).
+    I(Y) of the 1-D sum is quadrature; I(X) is :func:`fisher_decomposed`,
+    and the note ``fisher_x`` names its method.
     """
     _require_symmetric(mix)
     n = mix.dim
     y_mix = push_forward_linear(mix, _ones_direction(n)[None, :])
     lhs = fisher_quadrature(y_mix)
-    fx, fx_stderr, fx_method = _fisher_information(mix, budget)
-    sigma = math.hypot(lhs.stderr, fx_stderr / n)
-    notes = (f"fisher_x={fx_method}",)
+    fx = fisher_decomposed(mix, budget.samples, budget.seed)
+    sigma = math.hypot(lhs.stderr, fx.stderr / n)
+    notes = (f"fisher_x={fx.method}",)
     return _inequality(
-        "fisher_lemma", lhs, fx / n, sigma, mix, budget, direction=-1, notes=notes
+        "fisher_lemma", lhs, fx.value / n, sigma, mix, budget, direction=-1, notes=notes
     )
 
 

@@ -14,6 +14,15 @@ def gaussian_entropy(n, var):
     return n * (HALF_LOG_2PIE + 0.5 * math.log(var))
 
 
+# the product of three bimodal coordinates in a rotated basis: not a product
+ROTATED_BIMODAL_N3 = se.push_forward_linear(
+    se.bimodal_product(3), se.sign_vertex_basis([1, 1, 1]).matrix.T
+)
+# a rotated i.i.d. pair whose narrow, distant components the 2-D grid cannot resolve
+NARROW_ROTATED = se.rotated_iid_construction(
+    se.make_gaussian_mixture([(0.5, [s], [[0.001]]) for s in (30.0, -30.0)])
+)
+
 FIVE_1D_MIXTURES = [
     se.gaussian_iid(1),
     se.gaussian_iid(1, 0.25),
@@ -244,15 +253,28 @@ class TestEntropyDecomposed:
         assert est.value == pytest.approx(2 * base, abs=1e-10)
 
     def test_non_product_draws_for_total_correlation(self):
-        est = se.entropy_decomposed(se.rotated_bimodal(), 20000, 3)
+        est = se.entropy_decomposed(ROTATED_BIMODAL_N3, 20000, 3)
         assert est.count == 20000
         base = se.entropy_quadrature_1d(se.bimodal_1d()).value
-        assert abs(est.value - 2 * base) <= 4 * est.stderr
+        assert abs(est.value - 3 * base) <= 4 * est.stderr
+
+    def test_non_product_2d_law_is_integrated_whole(self):
+        law = se.rotated_bimodal()
+        assert se.entropy_decomposed(law, 1000, 0) == se.entropy_quadrature_2d(law)
+
+    def test_unconverged_2d_grid_falls_back_to_draws(self):
+        # 2 h(0.5 N(30, 0.001) + 0.5 N(-30, 0.001)), the narrow peaks well apart
+        truth = 2 * (0.5 * math.log(2 * math.pi * math.e * 0.001) + math.log(2.0))
+        est = se.entropy_decomposed(NARROW_ROTATED, 20000, 3)
+        assert (est.method, est.count) == ("decomposed", 20000)
+        assert abs(est.value - truth) <= 4 * est.stderr
+        assert se.fisher_decomposed(NARROW_ROTATED, 2000, 3).method == "mc_score"
 
     def test_total_correlation_coverage(self):
-        # h of the unit-variance bivariate normal with correlation 0.5
-        truth = 0.5 * math.log((2 * math.pi * math.e) ** 2 * 0.75)
-        law = se.correlated_gaussian(0.5)
+        # h of the unit-variance trivariate normal with correlations 0.5, 0.25, 0.5
+        cov = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
+        truth = 0.5 * math.log((2 * math.pi * math.e) ** 3 * np.linalg.det(cov))
+        law = se.make_gaussian_mixture([(1.0, np.zeros(3), cov)])
         z = []
         for seed in range(50):
             est = se.entropy_decomposed(law, 20000, seed)
@@ -607,16 +629,16 @@ class TestMonteCarloSkeleton:
     def test_total_correlation_non_finite_raises(self, monkeypatch):
         log_density = se.GaussianMixture.log_density
 
-        def nan_in_2d(self, x):
-            if np.shape(x)[-1] == 2:
+        def nan_in_3d(self, x):
+            if np.shape(x)[-1] == 3:
                 return np.full(len(x), np.nan)
             return log_density(self, x)
 
-        monkeypatch.setattr(se.GaussianMixture, "log_density", nan_in_2d)
+        monkeypatch.setattr(se.GaussianMixture, "log_density", nan_in_3d)
         with pytest.raises(
             se.NonFiniteLogDensityError, match="log-density non-finite at a sample point"
         ):
-            se.entropy_decomposed(se.rotated_bimodal(), 1000, 0)
+            se.entropy_decomposed(ROTATED_BIMODAL_N3, 1000, 0)
 
 
 class TestScoreProjection:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -82,10 +83,14 @@ class TestVerifyKdim:
         assert report.statement == "thm_kdim"
         assert report.verdict == HOLDS_WITH_EQUALITY
 
-    @pytest.mark.parametrize("n, method", [(3, "frequency_pairs"), (4, "hadamard"), (5, "frequency_pairs")])
-    def test_gaussian_two_row_equality_is_exact(self, n, method):
-        report = se.verify_kdim(se.gaussian_iid(n), se.balanced_projection(2, n, method), BUDGET)
-        assert report.lhs.method == "quadrature_2d"
+    @pytest.mark.parametrize(
+        "k, n, method",
+        [(2, 3, "frequency_pairs"), (2, 4, "hadamard"), (2, 5, "frequency_pairs"), (3, 4, "hadamard")],
+    )
+    def test_gaussian_two_row_equality_is_exact(self, k, n, method):
+        report = se.verify_kdim(se.gaussian_iid(n), se.balanced_projection(k, n, method), BUDGET)
+        # the Gaussian push-forward is a product, so h(AX) is its marginals' sum
+        assert report.lhs.method == "decomposed"
         assert report.verdict == HOLDS_WITH_EQUALITY
         assert abs(report.gap) <= 3 * report.sigma < 1e-10
 
@@ -143,7 +148,7 @@ class TestVerifyFisherLemma:
 
     def test_equal_marginals_share_one_quadrature(self, monkeypatch):
         law = se.bimodal_product(3)
-        rule = harness.fisher_quadrature
+        rule = estimators.fisher_quadrature
         calls = []
 
         def spy(m):
@@ -151,6 +156,7 @@ class TestVerifyFisherLemma:
             return rule(m)
 
         monkeypatch.setattr(harness, "fisher_quadrature", spy)
+        monkeypatch.setattr(estimators, "fisher_quadrature", spy)
         report = se.verify_fisher_lemma(law, BUDGET)
         # I(Y), and the one marginal that all three coordinates share
         assert calls == [1, 1]
@@ -175,21 +181,28 @@ class TestVerifyFisherLemma:
         law = se.make_gaussian_mixture([(0.5, np.zeros(3), np.eye(3)), (0.5, np.zeros(3), 4 * np.eye(3))])
         assert not se.coordinate_marginals(law)[1]
         calls = []
-        fisher_mc = harness.fisher_mc
+        fisher_mc = estimators.fisher_mc
 
         def spy(d, count, seed):
             calls.append(d)
             return fisher_mc(d, count, seed)
 
-        monkeypatch.setattr(harness, "fisher_mc", spy)
+        monkeypatch.setattr(estimators, "fisher_mc", spy)
         report = se.verify_fisher_lemma(law, BUDGET)
         assert calls == [law]
         assert report.notes == ("fisher_x=mc_score",)
         assert report.verdict == HOLDS
 
+    def test_count_floor_matches_verify_main(self):
+        # a product law draws nothing for I(X), and still rejects the budget
+        budget = se.Budget(samples=50)
+        for check in (se.verify_main, se.verify_fisher_lemma):
+            with pytest.raises(ValueError, match="count: must be >= 100"):
+                check(se.bimodal_product(3), budget)
+
 
 class TestDeterministicStatements:
-    # kdim with k <= 2 and the Fisher lemma on product and 2-D laws draw nothing
+    # h(X), h(AX) and I(X) of product laws and of 2-D laws draw nothing
     @pytest.fixture(autouse=True)
     def no_draws(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -200,7 +213,7 @@ class TestDeterministicStatements:
 
     @staticmethod
     def _same_but_seed(make):
-        a, b = (make(se.Budget(seed=seed)).to_json_dict() for seed in (0, 7))
+        a, b = (asdict(make(se.Budget(seed=seed))) for seed in (0, 7))
         assert (a.pop("seed"), b.pop("seed")) == (0, 7)
         assert a == b
 
@@ -215,6 +228,33 @@ class TestDeterministicStatements:
     def test_fisher_lemma(self, name):
         law = se.builtin_law(name)
         self._same_but_seed(lambda budget: se.verify_fisher_lemma(law, budget))
+
+    @pytest.mark.parametrize(
+        "name, k, method",
+        [
+            ("rotated-bimodal", 1, "hadamard"),
+            ("rotated-bimodal", 2, "hadamard"),
+            ("gaussian-iid-n4", 3, "hadamard"),
+            ("gaussian-iid-n8", 4, "frequency_pairs"),
+        ],
+    )
+    def test_kdim_other_shapes(self, name, k, method):
+        law = se.builtin_law(name)
+        projection = se.balanced_projection(k, law.dim, method)
+        self._same_but_seed(lambda budget: se.verify_kdim(law, projection, budget))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            se.verify_main,
+            lambda law, budget: se.verify_directional(law, np.array([0.6, 0.8]), budget),
+            lambda law, budget: se.direction_scan(law, resolution=30, budget=budget),
+        ],
+        ids=["verify_main", "verify_directional", "direction_scan"],
+    )
+    def test_rotated_bimodal(self, make):
+        law = se.rotated_bimodal()
+        self._same_but_seed(lambda budget: make(law, budget))
 
 
 class TestEqualityDemo:

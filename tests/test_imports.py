@@ -1,4 +1,5 @@
-"""Every module of the package, other than ``__init__``, uses each name it imports."""
+"""Every module of the package, other than ``__init__``, uses each name it
+imports and imports no underscore name from another module of the package."""
 
 import ast
 from pathlib import Path
@@ -23,6 +24,18 @@ def _unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _private_imports(source):
+    tree = ast.parse(source)
+    return sorted(
+        (alias.lineno, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "symentropy")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
 def test_check_finds_an_unused_import():
     source = "import math\nfrom os import path, sep as separator\nprint(path)\n"
     assert _unused_imports(source) == [(1, "math"), (2, "separator")]
@@ -31,3 +44,19 @@ def test_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert _unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_check_finds_a_private_import():
+    source = (
+        "from os import _exit\n"
+        "from .streams import CHUNK_SIZE, _hash\n"
+        "from symentropy.mixtures import (\n"
+        "    _rounded,\n"
+        ")\n"
+    )
+    assert _private_imports(source) == [(2, "_hash"), (4, "_rounded")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_imports(module):
+    assert _private_imports((PACKAGE / module).read_text(encoding="utf-8")) == []

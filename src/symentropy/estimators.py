@@ -2,17 +2,18 @@
 
 Every estimator returns an :class:`Estimate`.  Three independent entropy
 routes (Monte Carlo on the own log-density, composite Gauss-Legendre
-quadrature for 1-D laws, ``quadrature_1d``, and nearest-neighbor distances
-from samples alone) cross-check each other.
-Every 1-D entropy and Fisher integral is the line-law rule, one array
-kernel over the (D, K) component arrays of D 1-D mixtures:
-:func:`projection_entropy` passes the D line laws a . X of unit directions,
-the other 1-D estimators the law's own row.  2-D mixtures take the tensor
-product of the rule through the mixture kernel (``quadrature_2d``).  A law
+quadrature, and nearest-neighbor distances from samples alone) cross-check
+each other.  Every quadrature, 1-D or 2-D, entropy or Fisher, is the
+line-law rule: one array kernel over the (D, K) component arrays of D 1-D
+mixtures, never the mixture's own log-density or score.
+:func:`projection_entropy` passes the line laws a . X of unit directions,
+the other 1-D estimators the law's own row, and the 2-D rule the laws of
+X_1 given each outer node of X_0.  The same weights integrate f itself; a
+rule whose mass is not 1 misses part of f and reports stderr inf.  A law
 whose components are closed under mu -> -mu has an even integrand, so the
-rule evaluates only its nodes with a nonnegative first coordinate, at doubled
-weights: half of them.  The ``count`` of an estimate is still the node count
-of the full rule.  One structure rule gives h(X) (:func:`entropy_decomposed`)
+rule evaluates only its nodes with a nonnegative first coordinate, at
+doubled weights; the ``count`` of an estimate is still the node count of
+the full rule.  One structure rule gives h(X) (:func:`entropy_decomposed`)
 and I(X) (:func:`fisher_decomposed`): a product of its coordinate marginals
 is the sum of their quadratures, each distinct one integrated once; another
 2-D law is its 2-D rule, if that converged; anything else draws, h(X) as the
@@ -188,120 +189,69 @@ def _point_symmetric(fields, means):
     return np.all(ordered(rows) == ordered(images), axis=(-2, -1))
 
 
-def _checked_log_density(lf):
-    if np.any(np.isnan(lf)) or np.any(np.isposinf(lf)):
-        raise NonFiniteLogDensityError("log-density NaN or +inf inside quadrature range")
-    return lf
-
-
-def _neg_x_exp_x(lf):
-    # -f log f from log f, with 0 where f is 0
-    return np.where(np.isneginf(lf), 0.0, -np.exp(lf) * lf)
-
-
-def _neg_f_log_f(d, x):
-    return _neg_x_exp_x(_checked_log_density(np.asarray(d.log_density(x))))
-
-
-def _f_score_squared(d, x):
-    lf = _checked_log_density(np.asarray(d.log_density(x)))
-    rho = np.asarray(d.score(x))
-    if not np.all(np.isfinite(rho)):
-        raise NonFiniteScoreError("score non-finite inside quadrature range")
-    return np.exp(lf) * np.einsum("ij,ij->i", rho, rho)
-
-
-def _panel_integral(integrand, mix, radius, panels, fold):
-    # the tensor product of the 1-D rule on [-R, R]^2, taken in slabs of
-    # whole grid rows of at most CHUNK_SIZE nodes; folded, the first
-    # coordinate takes the folded rule on [0, R]
-    x, w = _panel_nodes(radius, panels)
-    x_rows, w_rows = _panel_nodes(radius, panels, fold)
-    rows = max(1, CHUNK_SIZE // x.size)
-    parts = []
-    for s in range(0, x_rows.size, rows):
-        xs = x_rows[s : s + rows]
-        points = np.column_stack([np.repeat(xs, x.size), np.tile(x, xs.size)])
-        values = integrand(mix, points).reshape(xs.size, x.size)
-        parts.append(w_rows[s : s + rows] @ values @ w)
-    return math.fsum(parts)
-
-
 def _quadrature(integrate, rows, panels):
     """Row-wise integrals by the composite rule, with panel doubling.
 
-    ``integrate(active, panels)`` returns the integrals of the rows indexed
-    by ``active`` with ``panels`` panels per axis.  Each row's panels
-    double, at most 3 times, until its value agrees with the one at half
-    the panels to ``_CONVERGED``; only rows that have not converged are
-    evaluated again.  Returns per row the value, its stderr (the last
-    convergence difference, floored by :func:`floored_stderr`) and the
-    final panels per axis.
+    ``integrate(active, panels)`` returns the integrals and the masses of
+    the rows indexed by ``active`` with ``panels`` panels per axis.  Each
+    row's panels double, at most 3 times, until its mass is 1 and its value
+    agrees with the one at half the panels, both to ``_CONVERGED``.  Returns
+    per row the value, its stderr (the last convergence difference floored
+    by :func:`floored_stderr`, or inf while the mass is off, as the rule then
+    misses part of f) and the final panels per axis.
     """
     active = np.arange(rows)
-    value_half = integrate(active, max(2, panels // 2))
-    value = integrate(active, panels)
+    value_half, _ = integrate(active, max(2, panels // 2))
+    value, mass = integrate(active, panels)
     final = np.full(rows, panels)
+
+    def differences():
+        return np.where(np.abs(mass - 1.0) <= _CONVERGED, np.abs(value - value_half), math.inf)
+
     for _ in range(3):
-        converged = np.abs(value - value_half) <= _CONVERGED * (1.0 + np.abs(value))
+        converged = differences() <= _CONVERGED * (1.0 + np.abs(value))
         active = active[~converged[active]]
         if not active.size:
             break
         panels *= 2
         value_half[active] = value[active]
-        value[active] = integrate(active, panels)
+        value[active], mass[active] = integrate(active, panels)
         final[active] = panels
     values = value.tolist()
-    stderrs = [floored_stderr(abs(v - h), v) for v, h in zip(values, value_half.tolist())]
+    stderrs = [floored_stderr(d, v) for d, v in zip(differences().tolist(), values)]
     return values, stderrs, final.tolist()
 
 
-def _grid_quadrature(integrand, mix):
-    """A 2-D law's integral of ``integrand(mix, points)`` over [-R, R]^2.
-
-    R is that of :func:`_radius` over both coordinates, and the grid
-    starts at 8 panels per axis; the one-row case of :func:`_quadrature`.
-    A law invariant under x -> -x (:func:`_point_symmetric` on its weights
-    and covariances) evaluates only the half-grid of nonnegative first
-    coordinates.  Returns the value, its stderr and the node count of the
-    full final grid.
-    """
-    stds = np.sqrt(np.diagonal(mix.covs, axis1=1, axis2=2))
-    radius = float(_radius(mix.means.ravel(), stds.ravel()))
-    fields = np.column_stack([mix.weights, mix.covs.reshape(len(mix.weights), -1)])
-    fold = bool(_point_symmetric(fields, mix.means))
-    [value], [stderr], [panels] = _quadrature(
-        lambda _, p: np.array([_panel_integral(integrand, mix, radius, p, fold)]),
-        1,
-        _PANELS_2D,
-    )
-    return value, stderr, (panels * _GL_PANEL) ** 2
+def _line_neg_f_log_f(t, total, top, x, means, variances):
+    # -f log f from log f, with 0 where f is 0
+    lf = np.log(total) + top
+    if np.any(np.isnan(lf)) or np.any(np.isposinf(lf)):
+        raise NonFiniteLogDensityError("log-density NaN or +inf inside quadrature range")
+    return np.where(np.isneginf(lf), 0.0, -np.exp(lf) * lf)
 
 
-def _line_neg_f_log_f(t, top, x, means, variances):
-    return _neg_x_exp_x(_checked_log_density(np.log(t.sum(axis=1)) + top))
-
-
-def _line_f_score_squared(t, top, x, means, variances):
-    # f rho^2 = exp(top) slope^2 / sum t, as rho = -slope / sum t
-    slope = np.einsum("ikj,ikj->ij", t, (x - means) / variances)
-    values = np.exp(top) * slope * slope / t.sum(axis=1)
+def _line_f_score_squared(t, total, top, x, means, variances):
+    # f rho^2 = exp(top) slope^2 / total, as rho = -slope / total, where
+    # slope = sum_k t_k (x - mu_k) / v_k = x sum_k t_k / v_k - sum_k t_k mu_k / v_k
+    inverse = 1.0 / variances[:, None, :]
+    slope = x * (inverse @ t)[:, 0] - ((means[:, None, :] * inverse) @ t)[:, 0]
+    values = np.exp(top) * slope * slope / total
     if not np.all(np.isfinite(values)):
         raise NonFiniteScoreError("score non-finite inside quadrature range")
     return values
 
 
 def _line_integrals(integrand, log_weights, means, variances, radii, panels, fold):
-    """Integrals over [-R_d, R_d] for the 1-D mixtures f_d, one per row.
+    """Integrals over [-R_d, R_d] for the 1-D mixtures f_d, and their masses.
 
     Row d of the (D, K) arrays ``log_weights``, ``means`` and ``variances``
     holds the components of f_d, and the rule is that of
     :func:`_panel_nodes` on its own range, folded onto [0, R_d] for every
-    row when ``fold`` is set.  The components are one pass
-    over rows x components x nodes, in slabs of at most CHUNK_SIZE
-    node-components, and ``integrand(t, top, x, means, variances)`` turns a
-    slab into the integrand at each node: ``t`` holds the weighted
-    component densities over ``exp(top)``, so f = exp(top) * sum_k t_k.
+    row when ``fold`` is set.  One pass over rows x components x nodes, in
+    slabs of at most CHUNK_SIZE node-components, gives ``t``, the weighted
+    component densities over ``exp(top)``, and their sum ``total``, so
+    f = exp(top) * total; ``integrand(t, total, top, x, means, variances)``
+    is the integrand at each node.  Returns the (2, D) integrals and masses.
     """
     rows, k = means.shape
     x, w = _panel_nodes(radii, panels, fold)
@@ -310,10 +260,10 @@ def _line_integrals(integrand, log_weights, means, variances, radii, panels, fol
     nodes = x.shape[1]
     slab_rows = max(1, CHUNK_SIZE // (k * nodes))
     slab_nodes = max(1, CHUNK_SIZE // (k * slab_rows))
-    out = np.empty(rows)
+    out = np.empty((2, rows))
     for r in range(0, rows, slab_rows):
         rs = slice(r, r + slab_rows)
-        values = np.empty_like(x[rs])
+        values, f = np.empty_like(x[rs]), np.empty_like(x[rs])
         for c in range(0, nodes, slab_nodes):
             cs = slice(c, c + slab_nodes)
             # rows x components x nodes, so the reductions run along whole node rows
@@ -324,10 +274,11 @@ def _line_integrals(integrand, log_weights, means, variances, radii, panels, fol
             top = t.max(axis=1)
             t -= top[:, None, :]
             np.exp(t, out=t)
-            values[:, cs] = integrand(
-                t, top, x[rs, None, cs], means[rs, :, None], variances[rs, :, None]
-            )
-        out[rs] = np.einsum("ij,ij->i", w[rs], values)
+            total = t.sum(axis=1)
+            values[:, cs] = integrand(t, total, top, x[rs, cs], means[rs], variances[rs])
+            f[:, cs] = np.exp(top) * total
+        out[0, rs] = np.einsum("ij,ij->i", w[rs], values)
+        out[1, rs] = np.einsum("ij,ij->i", w[rs], f)
     return out
 
 
@@ -343,12 +294,12 @@ def _line_quadrature(integrand, log_weights, means, variances):
     fold = _point_symmetric(np.stack([log_weights, variances], axis=-1), means[..., None])
 
     def integrate(rows, panels):
-        out = np.empty(len(rows))
+        out = np.empty((2, len(rows)))
         for folded in (True, False):
             part = fold[rows] == folded
             if np.any(part):
                 r = rows[part]
-                out[part] = _line_integrals(
+                out[:, part] = _line_integrals(
                     integrand, log_weights[r], means[r], variances[r], radii[r], panels, folded
                 )
         return out
@@ -357,9 +308,53 @@ def _line_quadrature(integrand, log_weights, means, variances):
     return values, stderrs, [p * _GL_PANEL for p in panels]
 
 
-def _own_line(mix):
-    # a 1-D mixture as the one row of line-law arrays
-    return np.log(mix.weights)[None, :], mix.means.T, mix.covs[:, 0, 0][None, :]
+def _conditional_lines(weights, means, covs, x):
+    # the line-law arrays of a 2-D mixture's f(x_0, .), one row per x_0 in x:
+    # w_k N(x_0; mu_k0, S_k00) N(mu_k1 + (S_k01 / S_k00)(x_0 - mu_k0), S_k11 - S_k01^2 / S_k00)
+    s00, s01, s11 = covs[:, 0, 0], covs[:, 0, 1], covs[:, 1, 1]
+    gain = s01 / s00
+    d = x[:, None] - means[:, 0]
+    log_weights = np.log(weights) - 0.5 * (np.log(2.0 * math.pi * s00) + d * d / s00)
+    return log_weights, means[:, 1] + gain * d, np.broadcast_to(s11 - gain * s01, d.shape)
+
+
+def _grid_quadrature(integrand, mix, swap=False):
+    """A 2-D law's integral over [-R, R]^2, R of :func:`_radius` on both axes.
+
+    The outer rule over x_0 starts at 8 panels, and the inner rule at each
+    of its nodes is a row of :func:`_line_integrals` on f(x_0, .); ``swap``
+    adds the integral over the law with its coordinates swapped.  A law
+    invariant under x -> -x (:func:`_point_symmetric`), and so its swap,
+    takes the folded outer rule on [0, R].  ``count`` is the node count of
+    the full final grid.
+    """
+    stds = np.sqrt(np.diagonal(mix.covs, axis1=1, axis2=2))
+    radius = float(_radius(mix.means.ravel(), stds.ravel()))
+    fields = np.column_stack([mix.weights, mix.covs.reshape(len(mix.weights), -1)])
+    fold = bool(_point_symmetric(fields, mix.means))
+    laws = [(mix.weights, mix.means, mix.covs)]
+    if swap:
+        laws.append((mix.weights, mix.means[:, ::-1], mix.covs[:, ::-1, ::-1]))
+
+    def integrate(_, panels):
+        x, w = _panel_nodes(radius, panels, fold)
+        radii = np.full(x.size, radius)
+        inner = [
+            _line_integrals(integrand, *_conditional_lines(*law, x), radii, panels, False)
+            for law in laws
+        ]
+        # a swap integrates the same f over the same nodes: one mass serves both
+        return np.array([[sum(w @ values for values, _ in inner)], [w @ inner[0][1]]])
+
+    [value], [stderr], [panels] = _quadrature(integrate, 1, _PANELS_2D)
+    return Estimate(value, stderr, "quadrature_2d", (panels * _GL_PANEL) ** 2)
+
+
+def _own_line_quadrature(integrand, mix):
+    # a 1-D mixture's integral as the one row of line-law arrays
+    lines = np.log(mix.weights)[None, :], mix.means.T, mix.covs[:, 0, 0][None, :]
+    [value], [stderr], [nodes] = _line_quadrature(integrand, *lines)
+    return Estimate(value, stderr, "quadrature_1d", nodes)
 
 
 def entropy_quadrature_1d(mix):
@@ -367,48 +362,44 @@ def entropy_quadrature_1d(mix):
 
     Integrates -f log f over [-R, R], R = max |mean| + 8 max std, which
     leaves a tail mass far below 1e-12.  Panels of 16 nodes double from 32
-    until the value is stable; stderr is the convergence-difference proxy
-    |result - result at half resolution|, floored at the rounding level so
-    it never understates the error.  A law invariant under x -> -x is
-    integrated over [0, R] at doubled weights; ``count`` is the node count
-    of the full rule.
+    until the value is stable and the rule's mass is 1; stderr is |result -
+    result at half resolution| floored at the rounding level, or inf if the
+    mass is not 1.  A law invariant under x -> -x is integrated over [0, R]
+    at doubled weights; ``count`` is the node count of the full rule.
     """
     if mix.dim != 1:
         raise ValueError(f"dim: quadrature needs a 1-D law (got dim {mix.dim})")
-    [value], [stderr], [nodes] = _line_quadrature(_line_neg_f_log_f, *_own_line(mix))
-    return Estimate(value, stderr, "quadrature_1d", nodes)
+    return _own_line_quadrature(_line_neg_f_log_f, mix)
 
 
 def entropy_quadrature_2d(mix):
     """Entropy of a 2-D mixture by the tensor product of the 1-D composite rule.
 
     Integrates -f log f over the square [-R, R]^2, R = max |mean| + 8 max
-    std over both coordinates, with 8 panels of 16 nodes per axis doubled
-    as in :func:`entropy_quadrature_1d`, so the grid holds at most 1024^2
-    nodes and is evaluated CHUNK_SIZE nodes at a time.  A law invariant
-    under x -> -x evaluates only the half of the grid with a nonnegative
-    first coordinate; ``count`` is the node count of the full grid either
-    way.
+    std over both coordinates, from 8 panels of 16 nodes per axis doubled
+    as in :func:`entropy_quadrature_1d`, so at most 1024^2 nodes: the outer
+    rule over x_0, and at each of its nodes the line-law rule on the law of
+    f(x_0, .).  A law invariant under x -> -x takes the outer rule on
+    [0, R] only; ``count`` is the node count of the full grid either way.
     """
     if mix.dim != 2:
         raise ValueError(f"dim: 2-D quadrature needs a 2-D law (got dim {mix.dim})")
-    value, stderr, nodes = _grid_quadrature(_neg_f_log_f, mix)
-    return Estimate(value, stderr, "quadrature_2d", nodes)
+    return _grid_quadrature(_line_neg_f_log_f, mix)
 
 
 def fisher_quadrature(mix):
     """Trace Fisher information of a 1-D or 2-D mixture by quadrature of f |score|^2.
 
     The rule, radius and doubling are those of :func:`entropy_quadrature_1d`
-    in 1-D and of :func:`entropy_quadrature_2d` in 2-D.
+    in 1-D and of :func:`entropy_quadrature_2d` in 2-D, where
+    f |score|^2 = (d_0 f)^2 / f + (d_1 f)^2 / f takes each term on the line
+    laws along its own axis.
     """
     if mix.dim == 1:
-        [value], [stderr], [nodes] = _line_quadrature(_line_f_score_squared, *_own_line(mix))
-    elif mix.dim == 2:
-        value, stderr, nodes = _grid_quadrature(_f_score_squared, mix)
-    else:
-        raise ValueError(f"dim: Fisher quadrature needs a 1-D or 2-D law (got dim {mix.dim})")
-    return Estimate(value, stderr, f"quadrature_{mix.dim}d", nodes)
+        return _own_line_quadrature(_line_f_score_squared, mix)
+    if mix.dim == 2:
+        return _grid_quadrature(_line_f_score_squared, mix, swap=True)
+    raise ValueError(f"dim: Fisher quadrature needs a 1-D or 2-D law (got dim {mix.dim})")
 
 
 def projection_entropy(mix, directions):
@@ -453,7 +444,7 @@ def _marginal_sum(rule, marginals):
 
 def _converged_grid(rule, mix):
     # ``rule(mix)`` for a 2-D law when its grid converged, else None; the
-    # stderr of a quadrature is its last convergence difference
+    # stderr of a quadrature is its last convergence difference, or inf
     if mix.dim != 2:
         return None
     whole = rule(mix)

@@ -65,6 +65,19 @@ class TestVerifyCommand:
         assert status == 0
         assert json.loads(text)["verdict"] in ("holds", "holds_with_equality")
 
+    def test_far_narrow_components_exit_one(self, tmp_path):
+        # every panel resolution misses part of the peaks at +-100: the
+        # quadrature's mass certificate fails and the verdict is inconclusive
+        law_file = tmp_path / "narrow.json"
+        law_file.write_text(
+            se.mixture_to_json(se.bimodal_product(3, separation=100.0, var=1e-6))
+        )
+        status, text = invoke(tmp_path, "verify", "--law", str(law_file))
+        assert status == 1
+        payload = json.loads(text)
+        assert payload["verdict"] == "inconclusive"
+        assert payload["sigma"] == math.inf
+
     def test_hidden_asymmetric_component_exits_2(self, tmp_path, capsys):
         # symmetric near the origin; only a 1e-9-weight component at (60, 0) breaks it
         law_file = tmp_path / "hidden.json"

@@ -23,6 +23,11 @@ NARROW_ROTATED = se.rotated_iid_construction(
     se.make_gaussian_mixture([(0.5, [s], [[0.001]]) for s in (30.0, -30.0)])
 )
 
+# components correlated within (S01 != 0), which no builtin multi-component 2-D law has
+CORRELATED_PAIR = se.make_gaussian_mixture(
+    [(0.5, [s * 3.0, s * 1.0], [[4.0, 1.9], [1.9, 1.0]]) for s in (-1.0, 1.0)]
+)
+
 FIVE_1D_MIXTURES = [
     se.gaussian_iid(1),
     se.gaussian_iid(1, 0.25),
@@ -93,25 +98,45 @@ class TestEntropyQuadrature:
             se.entropy_quadrature_1d(se.gaussian_iid(2))
 
     def test_line_integrals_skip_the_mixture_kernel(self, monkeypatch):
-        # every 1-D integral runs on the line-law arrays, never on the
-        # mixture's own log-density or score
+        # every 1-D and 2-D integral runs on the line-law arrays, never on
+        # the mixture's own log-density or score
         base, law = se.bimodal_1d(), se.bimodal_product(3)
-        expected = (
-            se.entropy_quadrature_1d(base),
-            se.fisher_quadrature(base),
-            se.projection_entropy(law, _scan_grid(3)),
-        )
+        pair = se.push_forward_linear(law, se.balanced_projection(2, 3, "frequency_pairs").matrix)
+
+        def rules():
+            return (
+                se.entropy_quadrature_1d(base),
+                se.fisher_quadrature(base),
+                se.projection_entropy(law, _scan_grid(3)),
+                *(
+                    rule(p)
+                    for p in (se.rotated_bimodal(), pair)
+                    for rule in (se.entropy_quadrature_2d, se.fisher_quadrature)
+                ),
+            )
+
+        expected = rules()
 
         def refuse(self, x):
             raise AssertionError("mixture kernel called")
 
         monkeypatch.setattr(se.GaussianMixture, "log_density", refuse)
         monkeypatch.setattr(se.GaussianMixture, "score", refuse)
-        assert (
+        assert rules() == expected
+
+    def test_far_narrow_components_fail_the_mass_certificate(self):
+        # every panel resolution misses part of the narrow peaks at +-100,
+        # so the rule's mass is off and its stderr is inf, whatever the
+        # doubling difference says
+        base = se.bimodal_1d(separation=100.0, var=1e-6)
+        rotated = se.rotated_iid_construction(base)
+        for est in (
             se.entropy_quadrature_1d(base),
             se.fisher_quadrature(base),
-            se.projection_entropy(law, _scan_grid(3)),
-        ) == expected
+            se.entropy_quadrature_2d(rotated),
+            se.fisher_quadrature(rotated),
+        ):
+            assert est.stderr == math.inf
 
 
 class TestQuadrature2dAndFisher:
@@ -151,9 +176,24 @@ class TestQuadrature2dAndFisher:
             (se.entropy_quadrature_2d(pair), se.entropy_mc(pair, 200000, 5)),
             (se.fisher_quadrature(pair), se.fisher_mc(pair, 200000, 5)),
             (se.fisher_quadrature(total), se.fisher_mc(total, 200000, 5)),
+            (se.entropy_quadrature_2d(CORRELATED_PAIR), se.entropy_mc(CORRELATED_PAIR, 200000, 5)),
+            (se.fisher_quadrature(CORRELATED_PAIR), se.fisher_mc(CORRELATED_PAIR, 200000, 5)),
         ]
         for quad, mc in checks:
             assert abs(quad.value - mc.value) <= 4 * math.hypot(quad.stderr, mc.stderr)
+
+    @pytest.mark.parametrize(
+        "rule, reference",
+        # the values of the tensor rule evaluated through the mixture kernel
+        [(se.entropy_quadrature_2d, 3.0032073493299904), (se.fisher_quadrature, 11.0790423705359)],
+    )
+    def test_correlated_components_match_their_swap(self, rule, reference):
+        swap = se.make_gaussian_mixture(
+            [(0.5, [s * 1.0, s * 3.0], [[1.0, 1.9], [1.9, 4.0]]) for s in (-1.0, 1.0)]
+        )
+        est = rule(CORRELATED_PAIR)
+        assert abs(est.value - rule(swap).value) <= 1e-12
+        assert abs(est.value - reference) <= 1e-13
 
     def test_rejects_wrong_dimension(self):
         for law in (se.gaussian_iid(1), se.gaussian_iid(3)):
@@ -164,20 +204,20 @@ class TestQuadrature2dAndFisher:
 
     def test_grid_held_in_slabs(self, monkeypatch):
         # a law that never converges takes all 3 doublings, 1024^2 nodes,
-        # and no slab of them exceeds CHUNK_SIZE
+        # and no slab of their node-components exceeds CHUNK_SIZE
         from symentropy.streams import CHUNK_SIZE
 
         sizes = []
         law = se.make_gaussian_mixture(
             [(0.5, [s * 30.0, 0.0], 0.001 * np.eye(2)) for s in (-1.0, 1.0)]
         )
-        log_density = type(law).log_density
+        integrand = estimators._line_neg_f_log_f
 
-        def spy(self, x):
-            sizes.append(len(x))
-            return log_density(self, x)
+        def spy(t, *args):
+            sizes.append(t.size)
+            return integrand(t, *args)
 
-        monkeypatch.setattr(type(law), "log_density", spy)
+        monkeypatch.setattr(estimators, "_line_neg_f_log_f", spy)
         est = se.entropy_quadrature_2d(law)
         assert est.count == 1024**2
         assert max(sizes) == CHUNK_SIZE
@@ -525,13 +565,14 @@ class TestSymmetryFolding:
         law = se.bimodal_product(3)
         pair = se.push_forward_linear(law, se.balanced_projection(2, 3, "frequency_pairs").matrix)
         points = []
-        log_density = type(pair).log_density
+        line_integrals = estimators._line_integrals
 
-        def spy(self, x):
-            points.append(len(x))
-            return log_density(self, x)
+        def spy(integrand, log_weights, means, variances, radii, panels, fold):
+            # outer rows x inner nodes
+            points.append(len(means) * panels * 16)
+            return line_integrals(integrand, log_weights, means, variances, radii, panels, fold)
 
-        monkeypatch.setattr(type(pair), "log_density", spy)
+        monkeypatch.setattr(estimators, "_line_integrals", spy)
         est = se.entropy_quadrature_2d(pair)
         # one doubling: half of the 64^2 + 128^2 + 256^2 nodes of the full grids
         assert sum(points) == 43008

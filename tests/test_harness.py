@@ -15,6 +15,35 @@ BUDGET = se.Budget(samples=100000, seed=0)
 COUNTEREXAMPLE_GAP = 0.5 * math.log(0.1) - 0.25 * math.log(0.19)
 
 
+# narrow components far apart, which a uniform-panel rule can miss entirely
+FAR_NARROW_BASE = se.bimodal_1d(separation=100.0, var=1e-6)
+
+
+class TestMassCertificate:
+    def test_far_narrow_product_never_reads_equality(self):
+        # for n >= 3 only i.i.d. Gaussians reach equality; a rule that misses
+        # the peaks reads h(X) and h(sum) both as 0 (truth: h(X) = -14.39,
+        # gap 0.562)
+        law = se.bimodal_product(3, separation=100.0, var=1e-6)
+        for report in (se.verify_main(law, BUDGET), se.verify_fisher_lemma(law, BUDGET)):
+            assert report.verdict != HOLDS_WITH_EQUALITY
+
+    def test_far_narrow_rotated_pair_reads_no_verdict_on_wrong_values(self):
+        # an n = 2 equality case, but a rule that misses the peaks reads
+        # h(sum) = 0 and I(sum) = 0; the sum has the law of the base
+        law = se.rotated_iid_construction(FAR_NARROW_BASE)
+        h_base = math.log(2.0) + 0.5 * math.log(2 * math.pi * math.e * 1e-6)
+        main = se.verify_main(law, BUDGET)
+        lemma = se.verify_fisher_lemma(law, BUDGET)
+        demo = se.equality_demo_n2(FAR_NARROW_BASE, BUDGET)
+        for verdict, est, truth in (
+            (main.verdict, main.lhs, h_base),
+            (lemma.verdict, lemma.lhs, 1e6),
+            (demo.verdict, demo.base_entropy, h_base),
+        ):
+            assert verdict == harness.INCONCLUSIVE or abs(est.value - truth) <= 3 * est.stderr
+
+
 class TestVerifyMain:
     def test_gaussian_equality(self):
         report = se.verify_main(se.gaussian_iid(3), BUDGET)

@@ -97,7 +97,6 @@ from .mixtures import (
     mixture_to_json,
     push_forward_linear,
     rotated_iid_construction,
-    sample,
     symmetrize,
 )
 from .streams import split_seed

@@ -24,13 +24,14 @@ from dataclasses import asdict, dataclass
 
 from .bases import balanced_projection
 from .errors import DimensionMismatchError, SymentropyError
-from .estimators import entropy_knn, entropy_mc, entropy_quadrature_1d, fisher_mc
+from .estimators import Estimate, entropy_knn, entropy_mc, entropy_quadrature_1d, fisher_mc
 from .fixtures import builtin_law, gaussian_iid
 from .harness import (
     HOLDS,
     HOLDS_WITH_EQUALITY,
     VIOLATED,
     Budget,
+    agreement,
     asymmetric_counterexample,
     direction_scan,
     equality_demo_n2,
@@ -68,8 +69,8 @@ class RunConfig:
             )
         if self.samples < 100:
             raise ConfigError(f"samples: must be >= 100 (got {self.samples})")
-        if self.tol_sigma <= 0:
-            raise ConfigError(f"tol-sigma: must be > 0 (got {self.tol_sigma})")
+        if not (math.isfinite(self.tol_sigma) and self.tol_sigma > 0):
+            raise ConfigError(f"tol-sigma: must be finite and > 0 (got {self.tol_sigma})")
         if self.out_format not in ("json", "csv"):
             raise ConfigError(f"format: expected 'json' or 'csv' (got {self.out_format!r})")
         if self.resolution < 1:
@@ -142,20 +143,22 @@ def _budget(config):
     return Budget(samples=config.samples, seed=config.seed, tol_sigma=config.tol_sigma)
 
 
-def _gaussian_battery(samples, seed, nodes):
-    """Closed-form Gaussian calibration entries across the estimator stack."""
-    entries = []
+def calibrate(config):
+    """Run the Gaussian calibration battery; it passes iff every entry agrees with its truth."""
+    samples, seed, nodes = config.samples, config.seed, max(16, config.nodes // 2)
+    entries, agreed = [], []
 
-    def add(estimator, n, var, value, stderr, truth):
-        z = abs(value - truth) / stderr if stderr > 0 else math.inf
+    def add(estimator, n, var, est, truth):
+        z, verdict = agreement(est, Estimate(truth, 0.0, "closed_form", 0), config.tol_sigma)
+        agreed.append(verdict == HOLDS_WITH_EQUALITY)
         entries.append(
             {
                 "estimator": estimator,
                 "n": n,
                 "var": var,
-                "value": value,
+                "value": est.value,
                 "truth": truth,
-                "stderr": stderr,
+                "stderr": est.stderr,
                 "z": z,
             }
         )
@@ -165,33 +168,22 @@ def _gaussian_battery(samples, seed, nodes):
             law = gaussian_iid(n, var)
             h_truth = 0.5 * n * math.log(2.0 * math.pi * math.e * var)
             i_truth = n / var
-            est = entropy_mc(law, samples, seed)
-            add("entropy_mc", n, var, est.value, est.stderr, h_truth)
+            add("entropy_mc", n, var, entropy_mc(law, samples, seed), h_truth)
             if n == 1:
-                est = entropy_quadrature_1d(law)
-                add("entropy_quadrature_1d", n, var, est.value, est.stderr, h_truth)
-            est = entropy_knn(law.sample(samples, seed + 1))
-            add("entropy_knn", n, var, est.value, est.stderr, h_truth)
-            fe = fisher_mc(law, samples, seed)
-            add("fisher_mc", n, var, fe.value, fe.stderr, i_truth)
-            est = entropy_via_debruijn(law, nodes=max(16, nodes // 2), count=samples, seed=seed)
-            add("entropy_via_debruijn", n, var, est.value, est.stderr, h_truth)
-    return entries
-
-
-def calibrate(config):
-    """Run the Gaussian calibration battery; it passes iff max |z| <= tol_sigma."""
-    entries = _gaussian_battery(config.samples, config.seed, config.nodes)
-    max_z = max(e["z"] for e in entries)
+                add("entropy_quadrature_1d", n, var, entropy_quadrature_1d(law), h_truth)
+            add("entropy_knn", n, var, entropy_knn(law.sample(samples, seed + 1)), h_truth)
+            add("fisher_mc", n, var, fisher_mc(law, samples, seed), i_truth)
+            est = entropy_via_debruijn(law, nodes=nodes, count=samples, seed=seed)
+            add("entropy_via_debruijn", n, var, est, h_truth)
     report = {
-        "seed": config.seed,
-        "budget": config.samples,
+        "seed": seed,
+        "budget": samples,
         "tol_sigma": config.tol_sigma,
         "entries": entries,
-        "max_abs_z": max_z,
-        "verdict": "pass" if max_z <= config.tol_sigma else "fail",
+        "max_abs_z": max(e["z"] for e in entries),
+        "verdict": "pass" if all(agreed) else "fail",
     }
-    return report, max_z <= config.tol_sigma
+    return report, all(agreed)
 
 
 def _verify(config):
@@ -246,11 +238,10 @@ def _debruijn(config):
     if law.dim != 1:
         return payload, True
     reference = entropy_quadrature_1d(law)
-    z_den = math.hypot(est.stderr, reference.stderr)
-    z = abs(est.value - reference.value) / z_den if z_den > 0 else math.inf
+    z, verdict = agreement(est, reference, config.tol_sigma)
     payload["reference_quadrature"] = asdict(reference)
     payload["z"] = z
-    return payload, z <= config.tol_sigma
+    return payload, verdict == HOLDS_WITH_EQUALITY
 
 
 def _scan(config):
@@ -267,24 +258,41 @@ def _counterexample(config):
     return asdict(report), report.verdict == VIOLATED
 
 
-# Each handler returns (JSON payload or CSV text, whether the verdicts pass).
+_OPTIONS = {
+    "--law": dict(dest="law_path", metavar="LAW", help="builtin:NAME or mixture JSON path"),
+    "--seed": dict(type=int),
+    "--samples": dict(type=int),
+    "--tol-sigma": dict(type=float),
+    "--out": dict(dest="out_path", metavar="OUT", help="report file (atomic write)"),
+    "--format": dict(dest="out_format", choices=("json", "csv")),
+    "--resolution": dict(type=int),
+    "--k": dict(type=int),
+    "--n": dict(type=int),
+    "--method": dict(choices=("hadamard", "frequency_pairs")),
+    "--nodes": dict(type=int),
+}
+
+# Each subcommand: its handler, and the options it reads besides --seed,
+# --samples, --tol-sigma and --out, which every subcommand takes.  Each
+# handler returns (JSON payload or CSV text, whether the verdicts pass).
 # ``calibrate`` is looked up at call time so that a patched module attribute
 # is the one that runs.
 _COMMANDS = {
-    "verify": _verify,
-    "equality-demo": _equality_demo,
-    "probe": _probe,
-    "kdim": _kdim,
-    "debruijn": _debruijn,
-    "scan": _scan,
-    "counterexample": _counterexample,
-    "calibrate": lambda config: calibrate(config),
+    "verify": (_verify, ("--law",)),
+    "equality-demo": (_equality_demo, ("--law",)),
+    "probe": (_probe, ("--law",)),
+    "kdim": (_kdim, ("--law", "--k", "--n", "--method")),
+    "debruijn": (_debruijn, ("--law", "--nodes")),
+    "scan": (_scan, ("--law", "--format", "--resolution")),
+    "counterexample": (_counterexample, ()),
+    "calibrate": (lambda config: calibrate(config), ("--nodes",)),
 }
 
 
 def run(config):
     """Execute one batch command; returns the process exit status."""
-    report, passed = _COMMANDS[config.command](config)
+    handler, _ = _COMMANDS[config.command]
+    report, passed = handler(config)
     if isinstance(report, dict):
         report = _canonical_json({**report, "command": config.command})
     _emit(config, report)
@@ -301,21 +309,11 @@ def _build_parser():
         description="Verify entropy lower bounds for symmetric random vectors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
-        p.add_argument(
-            "--law", dest="law_path", metavar="LAW", help="builtin:NAME or mixture JSON path"
-        )
-        p.add_argument("--seed", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--tol-sigma", type=float)
-        p.add_argument("--out", dest="out_path", metavar="OUT", help="report file (atomic write)")
-        p.add_argument("--format", dest="out_format", choices=("json", "csv"))
-        p.add_argument("--resolution", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--method", choices=("hadamard", "frequency_pairs"))
-        p.add_argument("--nodes", type=int)
+    for name, (_, options) in _COMMANDS.items():
+        # no abbreviations: --n must not reach a subcommand as --nodes
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS, allow_abbrev=False)
+        for flag in (*options, "--seed", "--samples", "--tol-sigma", "--out"):
+            p.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 

@@ -87,16 +87,39 @@ def _verdict(margin, sigma, tol_sigma):
     return VIOLATED
 
 
-def _inequality(statement, lhs, rhs, sigma, mix, budget, direction=1, notes=()):
-    """Report ``gap = lhs - rhs`` with the verdict on ``direction * gap``."""
+def _bound_check(lhs, whole, k, n, offsets, direction, tol_sigma):
+    """The rule of every statement: lhs against rhs = k whole / n + the offsets, in order.
+
+    ``whole`` is h(X) or I(X).  Returns ``(rhs, gap, sigma, verdict)``, where
+    gap = lhs - rhs, sigma combines the two standard errors as independent,
+    and the verdict is :func:`_verdict` on ``direction * gap``.
+    """
+    rhs = sum(offsets, k * whole.value / n)
+    sigma = math.hypot(lhs.stderr, k * whole.stderr / n)
     gap = lhs.value - rhs
+    return rhs, gap, sigma, _verdict(direction * gap, sigma, tol_sigma)
+
+
+def agreement(estimate, reference, tol_sigma):
+    """Check by the statements' rule that two estimates of one quantity agree.
+
+    Returns ``(z, verdict)`` with z = |gap| / sigma, inf at sigma 0.  The
+    check passes only on ``holds_with_equality``, never at a non-finite sigma.
+    """
+    _, gap, sigma, verdict = _bound_check(estimate, reference, 1, 1, (), 1, tol_sigma)
+    return (abs(gap) / sigma if sigma > 0 else math.inf), verdict
+
+
+def _inequality(statement, lhs, whole, k, n, mix, budget, offsets=(), direction=1, notes=()):
+    """Report ``lhs`` against ``k whole / n + offsets`` by :func:`_bound_check`."""
+    rhs, gap, sigma, verdict = _bound_check(lhs, whole, k, n, offsets, direction, budget.tol_sigma)
     return InequalityReport(
         statement=statement,
         lhs=lhs,
         rhs=rhs,
         gap=gap,
         sigma=sigma,
-        verdict=_verdict(direction * gap, sigma, budget.tol_sigma),
+        verdict=verdict,
         law_fingerprint=law_fingerprint(mix),
         seed=budget.seed,
         budget=budget.samples,
@@ -114,32 +137,36 @@ def _require_symmetric(mix):
         )
 
 
-def _directional_bounds(h_x, directions):
-    """h(X)/n + log(n^{n/2} prod_i |a_i|) per row a of ``directions``, as floats.
+def _directional_offsets(directions):
+    """log(n^{n/2} prod_i |a_i|) per row a of ``directions``, as two float terms.
 
-    The bound is -inf for a row with an entry below 1e-15 in magnitude,
-    whose logarithms are not taken.
+    The terms are (n/2) log n and sum_i log |a_i|, in the order that
+    :func:`_bound_check` adds them.  The second is -inf for a row with an
+    entry below 1e-15 in magnitude, whose logarithms are not taken.
     """
     n = directions.shape[1]
     magnitudes = np.abs(directions)
     zero = np.any(magnitudes < 1e-15, axis=1)
-    logs = np.log(np.where(zero[:, None], 1.0, magnitudes))
-    bounds = h_x / n + 0.5 * n * math.log(n) + np.sum(logs, axis=1)
-    return np.where(zero, -np.inf, bounds).tolist()
+    logs = np.sum(np.log(np.where(zero[:, None], 1.0, magnitudes)), axis=1)
+    return [(0.5 * n * math.log(n), s) for s in np.where(zero, -np.inf, logs).tolist()]
 
 
 def _ones_direction(n):
     return np.full(n, 1.0 / math.sqrt(n))
 
 
+def _entropies(mix, directions, budget):
+    """h(a . X) per row a of ``directions``, and h(X), once the law is checked symmetric."""
+    _require_symmetric(mix)
+    estimates = projection_entropy(mix, directions)
+    return estimates, entropy_decomposed(mix, budget.samples, budget.seed)
+
+
 def verify_main(mix, budget=Budget()):
     """Check h(sum_i X_i / sqrt n) >= h(X) / n for a symmetric law."""
-    _require_symmetric(mix)
     n = mix.dim
-    [lhs] = projection_entropy(mix, _ones_direction(n)[None, :])
-    hx = entropy_decomposed(mix, budget.samples, budget.seed)
-    sigma = math.hypot(lhs.stderr, hx.stderr / n)
-    return _inequality("thm_main", lhs, hx.value / n, sigma, mix, budget)
+    [lhs], hx = _entropies(mix, _ones_direction(n)[None, :], budget)
+    return _inequality("thm_main", lhs, hx, 1, n, mix, budget)
 
 
 def verify_directional(mix, a, budget=Budget()):
@@ -154,16 +181,12 @@ def verify_directional(mix, a, budget=Budget()):
     norm = float(np.linalg.norm(a))
     if abs(norm - 1.0) > 1e-10:
         raise NotUnitVectorError(f"direction: norm {norm} differs from 1 by > 1e-10")
-    _require_symmetric(mix)
-    n = mix.dim
-    [lhs] = projection_entropy(mix, a[None, :])
-    hx = entropy_decomposed(mix, budget.samples, budget.seed)
-    [rhs] = _directional_bounds(hx.value, a[None, :])
+    [lhs], hx = _entropies(mix, a[None, :], budget)
+    [offsets] = _directional_offsets(a[None, :])
     notes = ("sign_convention=prod|a_i| (sign flips of a preserve the law of a.X)",)
-    if rhs == float("-inf"):
+    if offsets[-1] == -math.inf:
         notes += ("trivial_true=zero coordinate in a",)
-    sigma = math.hypot(lhs.stderr, hx.stderr / n)
-    return _inequality("corollary", lhs, rhs, sigma, mix, budget, notes=notes)
+    return _inequality("corollary", lhs, hx, 1, mix.dim, mix, budget, offsets, notes=notes)
 
 
 def verify_kdim(mix, projection, budget=Budget()):
@@ -180,16 +203,15 @@ def verify_kdim(mix, projection, budget=Budget()):
             f"projection is not balanced: row-gram deviation {report.row_gram_dev:.3e}, "
             f"column-norm deviation {report.col_norm_dev:.3e}"
         )
-    _require_symmetric(mix)
     k, n = matrix.shape
     if k == 1:
-        [lhs] = projection_entropy(mix, matrix)
+        [lhs], hx = _entropies(mix, matrix, budget)
     else:
+        _require_symmetric(mix)
         lhs = entropy_decomposed(push_forward_linear(mix, matrix), budget.samples, budget.seed)
-    hx = entropy_decomposed(mix, budget.samples, budget.seed)
-    sigma = math.hypot(lhs.stderr, (k / n) * hx.stderr)
+        hx = entropy_decomposed(mix, budget.samples, budget.seed)
     notes = (f"projection_shape={k}x{n}",)
-    return _inequality("thm_kdim", lhs, (k / n) * hx.value, sigma, mix, budget, notes=notes)
+    return _inequality("thm_kdim", lhs, hx, k, n, mix, budget, notes=notes)
 
 
 def verify_fisher_lemma(mix, budget=Budget()):
@@ -203,11 +225,8 @@ def verify_fisher_lemma(mix, budget=Budget()):
     y_mix = push_forward_linear(mix, _ones_direction(n)[None, :])
     lhs = fisher_quadrature(y_mix)
     fx = fisher_decomposed(mix, budget.samples, budget.seed)
-    sigma = math.hypot(lhs.stderr, fx.stderr / n)
     notes = (f"fisher_x={fx.method}",)
-    return _inequality(
-        "fisher_lemma", lhs, fx.value / n, sigma, mix, budget, direction=-1, notes=notes
-    )
+    return _inequality("fisher_lemma", lhs, fx, 1, n, mix, budget, direction=-1, notes=notes)
 
 
 @dataclass(frozen=True)
@@ -237,12 +256,11 @@ def equality_demo_n2(base, budget=Budget()):
     # coordinates, so h2 is exact and draws nothing
     z_law = push_forward_linear(law, ROTATION_2D.T)
     h2 = entropy_decomposed(z_law, budget.samples, budget.seed)
-    gap = lhs.value - h2.value / 2.0
-    sigma = math.hypot(lhs.stderr, h2.stderr / 2.0)
+    _, gap, sigma, verdict = _bound_check(lhs, h2, 1, 2, (), 1, budget.tol_sigma)
     return EqualityDemoReport(
         gap=gap,
         sigma=sigma,
-        verdict=_verdict(gap, sigma, budget.tol_sigma),
+        verdict=verdict,
         base_entropy=lhs,
         independence=check_independence(z_law, 0),
         coordinate_symmetry=check_symmetry(z_law),
@@ -360,15 +378,12 @@ def direction_scan(mix, resolution=90, budget=Budget()):
     resolution = int(resolution)
     if resolution < 1:
         raise ValueError(f"resolution: must be >= 1 (got {resolution})")
-    _require_symmetric(mix)
     n = mix.dim
-    hx = entropy_decomposed(mix, budget.samples, budget.seed)
     grid = np.array([a / np.linalg.norm(a) for a in _scan_directions(n, resolution)])
-    estimates = projection_entropy(mix, grid)
+    estimates, hx = _entropies(mix, grid, budget)
     rows = []
-    for a, est, bound in zip(grid, estimates, _directional_bounds(hx.value, grid)):
-        stderr = math.hypot(est.stderr, hx.stderr / n)
-        margin = est.value - bound
+    for a, est, offsets in zip(grid, estimates, _directional_offsets(grid)):
+        bound, margin, stderr, verdict = _bound_check(est, hx, 1, n, offsets, 1, budget.tol_sigma)
         rows.append(
             DirectionScanRow(
                 direction=tuple(float(v) for v in a),
@@ -376,7 +391,7 @@ def direction_scan(mix, resolution=90, budget=Budget()):
                 stderr=stderr,
                 bound=bound,
                 margin=margin,
-                verdict=_verdict(margin, stderr, budget.tol_sigma),
+                verdict=verdict,
             )
         )
     # first in grid order among the rows within their own quadrature
@@ -413,12 +428,13 @@ def asymmetric_counterexample(rho=-0.9):
     mix = correlated_gaussian(rho)
     var_sum = 1.0 + rho
     lhs_value = 0.5 * math.log(2.0 * math.pi * math.e * var_sum)
-    hx = 0.5 * math.log((2.0 * math.pi * math.e) ** 2 * (1.0 - rho * rho))
+    hx_value = 0.5 * math.log((2.0 * math.pi * math.e) ** 2 * (1.0 - rho * rho))
     lhs = Estimate(lhs_value, 0.0, "closed_form", 0)
+    hx = Estimate(hx_value, 0.0, "closed_form", 0)
     sym = check_symmetry(mix)
     notes = (
         "closed_form=true",
         f"symmetric={sym.verdict}",
         "expected=violated" if rho < 0 else "expected=holds_or_equality",
     )
-    return _inequality("thm_main", lhs, hx / 2.0, 0.0, mix, Budget(samples=0), notes=notes)
+    return _inequality("thm_main", lhs, hx, 1, 2, mix, Budget(samples=0), notes=notes)

@@ -331,13 +331,21 @@ def _checked_mixture(weights, means, covs):
     """Build a mixture from stacked (K,), (K, n), (K, n, n) arrays of matching shape.
 
     The rules of :func:`make_gaussian_mixture` are each checked once over
-    all components: positive finite weights, finite means and covariances,
-    and covariances, forced symmetric, with smallest eigenvalue above 1e-12.
+    all components: positive finite weights with a finite sum, finite means
+    and covariances, and covariances, forced symmetric, with smallest
+    eigenvalue above 1e-12.
     """
     at = _first_fault(~(np.isfinite(weights) & (weights > 0.0)))
     if at is not None:
         raise InvalidComponentError(
             f"component {at[0]}: weight must be positive and finite (got {weights[at]})"
+        )
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if not np.isfinite(total):
+        at = int(np.argmax(weights))
+        raise InvalidComponentError(
+            f"component {at}: weight {weights[at]} makes the sum of the weights overflow"
         )
     finite = np.isfinite(means).all(axis=1) & np.isfinite(covs).all(axis=(1, 2))
     at = _first_fault(~finite)
@@ -345,7 +353,7 @@ def _checked_mixture(weights, means, covs):
         raise InvalidComponentError(f"component {at[0]}: mean and covariance must be finite")
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
     _check_variance_floor(np.linalg.eigvalsh(covs)[:, 0])
-    return GaussianMixture(weights / weights.sum(), means, covs)
+    return GaussianMixture(weights / total, means, covs)
 
 
 def push_forward_linear(mix, matrix):
@@ -478,10 +486,7 @@ def coordinate_marginals(mix):
             )
         )
         labels.append(label)
-    # one covariance per group: the components of a group share it bit for bit
-    shared = mix.covs[[mix._order[g.span.start] for g in mix._groups]]
-    off_diagonal = shared - shared * np.eye(mix.dim)
-    if np.any(_rounded(off_diagonal)):
+    if np.any(_rounded(mix.covs - mix.covs * np.eye(mix.dim))):
         return marginals, False
     combos, joint = np.unique(np.column_stack(labels), axis=0, return_inverse=True)
     if len(combos) != math.prod(m.n_components for m in marginals):
@@ -625,11 +630,6 @@ def rotated_iid_construction(base):
         for wj, mj, cj in zip(base.weights, base.means, base.covs)
     ]
     return push_forward_linear(make_gaussian_mixture(product), ROTATION_2D)
-
-
-def sample(d, count, seed):
-    """Draw ``count`` points from any law exposing the sampling interface."""
-    return d.sample(count, seed)
 
 
 # --- JSON round-trip (17 significant digits, bit-exact) -------------------

@@ -1,14 +1,17 @@
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import symentropy as se
+from symentropy import cli, harness
 from symentropy.cli import ConfigError, RunConfig, main, run
 
 
@@ -24,9 +27,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="samples"):
             RunConfig(command="verify", samples=50)
 
-    def test_tol_sigma_positive(self):
+    @pytest.mark.parametrize("tol_sigma", [0.0, math.nan, math.inf])
+    def test_tol_sigma_positive(self, tol_sigma):
         with pytest.raises(ConfigError, match="tol-sigma"):
-            RunConfig(command="verify", tol_sigma=0.0)
+            RunConfig(command="verify", tol_sigma=tol_sigma)
 
     def test_format_validated(self):
         with pytest.raises(ConfigError, match="format"):
@@ -135,10 +139,19 @@ BAD_LAWS = {
     "not-pd": '{"dim": 2, "components": [{"weight": 1.0, "mean": [0.0, 0.0], "cov": [[1.0, 2.0], [2.0, 1.0]]}]}',
     "ragged-cov": '{"dim": 2, "components": [{"weight": 1.0, "mean": [0.0, 0.0], "cov": [[1.0], [0.0, 1.0]]}]}',
     "cov-shape": '{"dim": 2, "components": [{"weight": 1.0, "mean": [0.0, 0.0], "cov": [[1.0]]}]}',
+    # each weight is finite, but their sum overflows
+    "weight-sum-overflow": json.dumps(
+        {
+            "dim": 1,
+            "components": [
+                {"weight": 1e308, "mean": [m], "cov": [[1.0]]} for m in (-1.0, 1.0)
+            ],
+        }
+    ),
 }
 # Well-shaped law files that make_gaussian_mixture rejects; every other
 # file in BAD_LAWS fails to parse as a mixture.
-INVALID_LAWS = ("nan-cov", "inf-mean", "dim-513", "not-pd")
+INVALID_LAWS = ("nan-cov", "inf-mean", "dim-513", "not-pd", "weight-sum-overflow")
 
 
 @pytest.mark.parametrize("name", sorted(BAD_LAWS))
@@ -163,6 +176,16 @@ def test_bad_law_exits_2(name, tmp_path, capsys):
         assert f"law: invalid mixture file {law}: component 0: " in err
     elif not name.startswith("builtin:") and BAD_LAWS[name] is not None:
         assert f"law: cannot parse mixture file {law}: " in err
+
+
+def test_weight_sum_overflow_exits_2_in_debruijn(tmp_path, capsys):
+    path = tmp_path / "weights.json"
+    path.write_text(BAD_LAWS["weight-sum-overflow"])
+    status = main(["debruijn", "--law", str(path), "--samples", "200", "--nodes", "16"])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert f"law: invalid mixture file {path}: component 0: " in err
+    assert "Traceback" not in err
 
 
 def test_import_and_verify_run_without_scipy(tmp_path):
@@ -245,6 +268,69 @@ def test_json_report_names_its_command(command, tmp_path):
         report_type, extra = REPORT_TYPES[command]
         expected = {f.name for f in fields(report_type)} | {"command", *extra}
         assert set(payload) == expected
+
+
+# The options each subcommand reads besides --seed, --samples, --tol-sigma
+# and --out, which every subcommand takes.
+READ_OPTIONS = {
+    "verify": {"--law"},
+    "equality-demo": {"--law"},
+    "probe": {"--law"},
+    "kdim": {"--law", "--k", "--n", "--method"},
+    "debruijn": {"--law", "--nodes"},
+    "scan": {"--law", "--format", "--resolution"},
+    "counterexample": set(),
+    "calibrate": {"--nodes"},
+}
+OPTION_VALUES = {
+    "--law": "builtin:gaussian-iid-n1",
+    "--seed": "1",
+    "--samples": "100",
+    "--tol-sigma": "3",
+    "--out": "report.json",
+    "--format": "json",
+    "--resolution": "5",
+    "--k": "1",
+    "--n": "1",
+    "--method": "hadamard",
+    "--nodes": "16",
+}
+
+
+def test_each_subcommand_accepts_only_the_options_it_reads(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run", lambda config: 0)
+    accepted = set()
+    for command in READ_OPTIONS:
+        for option, value in OPTION_VALUES.items():
+            try:
+                status = main([command, option, value])
+            except SystemExit as exc:  # argparse rejects the option
+                status = exc.code
+            assert status in (0, 2)
+            if status == 0:
+                accepted.add((command, option))
+            else:
+                assert "unrecognized arguments" in capsys.readouterr().err
+    common = {"--seed", "--samples", "--tol-sigma", "--out"}
+    assert accepted == {(c, o) for c, read in READ_OPTIONS.items() for o in read | common}
+    assert len(accepted) == 45
+
+
+def test_benchmark_argv_parse(monkeypatch):
+    # every CLI operation of every benchmark workload still parses; the
+    # Fisher-lemma operation calls the library and runs as it is
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("workloads", root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = []
+    monkeypatch.setattr(cli, "run", lambda config: configs.append(config) or 0)
+    for name in workloads.WORKLOADS:
+        ctx = workloads.prepare(name, 0)
+        for op in ctx.ops:
+            status, _ = op.call(ctx)
+            assert status in (None, 0), (name, op.name)
+    assert {config.command for config in configs} == set(READ_OPTIONS) - {"debruijn"}
 
 
 def test_default_budget_comes_from_budget(tmp_path):
@@ -393,6 +479,17 @@ class TestDebruijnCommand:
         assert "reference_quadrature" in payload
         assert payload["z"] <= 3.0
 
+    def test_far_narrow_reference_exits_one(self, tmp_path):
+        # the reference quadrature misses the peaks at +-100 and reports
+        # stderr inf; a check with a non-finite sigma never passes
+        law_file = tmp_path / "narrow.json"
+        law_file.write_text(se.mixture_to_json(se.bimodal_1d(separation=100.0, var=1e-6)))
+        status, text = invoke(
+            tmp_path, "debruijn", "--law", str(law_file), "--samples", "2000", "--nodes", "16"
+        )
+        assert status == 1
+        assert json.loads(text)["reference_quadrature"]["stderr"] == math.inf
+
     def test_multivariate_without_reference(self, tmp_path):
         status, text = invoke(
             tmp_path, "debruijn", "--law", "builtin:gaussian-iid-n2",
@@ -430,6 +527,20 @@ class TestCalibrateCommand:
                 tmp_path, "calibrate", "--samples", "2000", "--nodes", "16", "--seed", str(seed)
             )
             assert status == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["debruijn", "--law", "builtin:bimodal-product-n1", "--samples", "2000", "--nodes", "16"],
+        ["calibrate", "--samples", "2000", "--nodes", "16"],
+    ],
+)
+def test_debruijn_and_calibrate_exit_by_the_harness_rule(argv, tmp_path, monkeypatch):
+    # both pass at these budgets; the verdict rule the statements use decides
+    assert invoke(tmp_path, *argv)[0] == 0
+    monkeypatch.setattr(harness, "_verdict", lambda margin, sigma, tol_sigma: harness.VIOLATED)
+    assert invoke(tmp_path, *argv)[0] == 1
 
 
 class TestAtomicWrite:

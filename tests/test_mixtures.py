@@ -80,6 +80,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="weight"):
             se.make_gaussian_mixture([(0.0, [0.0], [[1.0]])])
 
+    def test_weight_sum_overflow(self):
+        # each weight is finite but their sum is not: normalising would give zeros
+        with pytest.raises(se.InvalidComponentError, match="component 1: weight .* overflow"):
+            se.make_gaussian_mixture([(1e307, [1.0], [[1.0]]), (1.7e308, [-1.0], [[1.0]])])
+        w = np.array([1e308, 5e307])
+        law = se.make_gaussian_mixture([(w[0], [1.0], [[1.0]]), (w[1], [-1.0], [[1.0]])])
+        assert np.array_equal(law.weights, w / w.sum())
+
     def test_valid_but_asymmetric_correlated_gaussian(self):
         # det 0.19 > 0: construction succeeds, symmetry check fails
         m = se.correlated_gaussian(-0.9)
@@ -735,10 +743,6 @@ class TestSampling:
         x = law.sample(100000, 7)
         frac = np.mean(x[:, 0] > 0)
         assert abs(frac - 0.5) <= 3.0 * 0.5 / math.sqrt(100000)
-
-    def test_module_level_sample(self):
-        law = se.gaussian_iid(2)
-        assert np.array_equal(se.sample(law, 10, 3), law.sample(10, 3))
 
 
 class TestJsonRoundTrip:

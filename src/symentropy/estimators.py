@@ -430,15 +430,12 @@ def projection_entropy(mix, directions):
 def _marginal_sum(rule, marginals):
     """The fsum of ``rule(m).value`` over ``marginals``, and their stderrs.
 
-    ``rule`` runs once per distinct marginal: equal weights, means and
-    covariances byte for byte, as an exchangeable law's marginals have.
+    ``rule`` runs once per distinct marginal, which
+    :func:`coordinate_marginals` returns as one shared object.
     """
-    keys = [(m.weights.tobytes(), m.means.tobytes(), m.covs.tobytes()) for m in marginals]
-    done = {}
-    for key, m in zip(keys, marginals):
-        if key not in done:
-            done[key] = rule(m)
-    parts = [done[key] for key in keys]
+    distinct = {id(m): m for m in marginals}
+    done = {key: rule(m) for key, m in distinct.items()}
+    parts = [done[id(m)] for m in marginals]
     return math.fsum(p.value for p in parts), [p.stderr for p in parts]
 
 

@@ -42,11 +42,10 @@ def bimodal_product(n, separation=2.0, var=1.0):
     n = int(n)
     if n > _MAX_PRODUCT_DIM:
         raise ValueError(f"n: product fixture supports n <= {_MAX_PRODUCT_DIM} (got {n})")
-    components = []
-    for bits in range(1 << n):
-        signs = np.array([1.0 if bits & (1 << j) else -1.0 for j in range(n)])
-        components.append((0.5**n, separation * signs, var * np.eye(n)))
-    return make_gaussian_mixture(components)
+    # component k sits at +separation in coordinate j when bit j of k is set
+    signs = np.where(np.arange(1 << n)[:, None] >> np.arange(n) & 1, 1.0, -1.0)
+    cov = var * np.eye(n)
+    return make_gaussian_mixture([(0.5**n, mean, cov) for mean in separation * signs])
 
 
 def rotated_bimodal():

@@ -44,11 +44,15 @@ INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class Budget:
-    """Sampling budget shared by the verification operations."""
+    """Sampling budget shared by the verification operations; ``tol_sigma`` > 0 and finite."""
 
     samples: int = 200_000
     seed: int = 0
     tol_sigma: float = 3.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol_sigma) and self.tol_sigma > 0):
+            raise ValueError(f"tol_sigma: must be finite and > 0 (got {self.tol_sigma})")
 
 
 @dataclass(frozen=True)
@@ -103,11 +107,12 @@ def _bound_check(lhs, whole, k, n, offsets, direction, tol_sigma):
 def agreement(estimate, reference, tol_sigma):
     """Check by the statements' rule that two estimates of one quantity agree.
 
-    Returns ``(z, verdict)`` with z = |gap| / sigma, inf at sigma 0.  The
-    check passes only on ``holds_with_equality``, never at a non-finite sigma.
+    Returns ``(z, verdict)``, z = |gap| / sigma (inf at sigma 0, NaN at a
+    non-finite sigma); it passes only on ``holds_with_equality``.
     """
     _, gap, sigma, verdict = _bound_check(estimate, reference, 1, 1, (), 1, tol_sigma)
-    return (abs(gap) / sigma if sigma > 0 else math.inf), verdict
+    z = abs(gap) / sigma if sigma > 0 else math.inf
+    return (z if math.isfinite(sigma) else math.nan), verdict
 
 
 def _inequality(statement, lhs, whole, k, n, mix, budget, offsets=(), direction=1, notes=()):

@@ -15,6 +15,7 @@ stay in cache and on the calling thread.  Every builtin law and every law
 derived from one by :func:`push_forward_linear`,
 :func:`convolve_isotropic` or :func:`symmetrize` has a single group;
 covariances that differ, even in the last bit, make more groups.
+:func:`line_laws` merges the components that are bit-equal in every row.
 
 All log-densities and entropies are in nats.
 """
@@ -287,6 +288,14 @@ def make_gaussian_mixture(components):
     if not components:
         raise EmptyMixtureError("mixture needs at least one component")
     weights = np.array([float(w) for w, _, _ in components])
+    try:  # one array pass; any other input takes the per-component pass below
+        means = np.array([mean for _, mean, _ in components], dtype=float)
+        covs = np.array([cov for _, _, cov in components], dtype=float)
+    except (TypeError, ValueError):
+        means = covs = np.empty(0)
+    dim = means.shape[-1]
+    if means.ndim == 2 and covs.shape == (*means.shape, dim) and 0 < dim <= MAX_DIM:
+        return _checked_mixture(weights, means, covs)
     means = [np.atleast_1d(np.asarray(mean, dtype=float)) for _, mean, _ in components]
     covs = [np.atleast_2d(np.asarray(cov, dtype=float)) for _, _, cov in components]
     dim = means[0].shape[0]
@@ -382,9 +391,11 @@ def push_forward_linear(mix, matrix):
 def line_laws(mix, directions):
     """The 1-D laws of ``a . X`` for every row ``a`` of ``directions``, as arrays.
 
-    Returns ``(weights, means, variances)``: the K component weights that
+    Returns ``(weights, means, variances)``: the component weights that
     every row shares, and the (D, K) arrays ``a_d . mu_k`` and
-    ``a_d^T Sigma_k a_d``.  Row d is the law of
+    ``a_d^T Sigma_k a_d``.  Components bit-equal (after ``+ 0.0``) in every
+    row are merged in order of first appearance, their weights summed, so K
+    counts the distinct ones.  Row d is the law of
     ``push_forward_linear(mix, directions[d:d + 1])`` up to rounding, and
     its variances meet the same 1e-12 floor; an error names the row and
     component that fails it.  Rows are not checked for rank: a zero row
@@ -398,7 +409,11 @@ def line_laws(mix, directions):
         )
     variances = np.einsum("kdi,di->dk", directions @ mix.covs, directions)
     _check_variance_floor(variances)
-    return mix.weights / mix.weights.sum(), directions @ mix.means.T, variances
+    means = directions @ mix.means.T
+    _, first, label = _label_rows(np.concatenate([means, variances]).T + 0.0)
+    kept = np.bincount(first, minlength=len(label)) > 0  # first appearances, in order
+    weights = np.bincount((np.cumsum(kept) - 1)[first[label]], weights=mix.weights)
+    return weights / mix.weights.sum(), means[:, kept], variances[:, kept]
 
 
 def convolve_isotropic(mix, t):
@@ -468,41 +483,40 @@ def coordinate_marginals(mix):
     rounding, every covariance is diagonal, the distinct components are all
     the combinations of marginal components, and each one's weight is the
     product of its marginals' weights.  No sampling: one sort of the K
-    components per coordinate and one of their label tuples.
+    components per coordinate, one mixture per distinct marginal.
     """
     variances = np.diagonal(mix.covs, axis1=1, axis2=2)
-    keys = _rounded(np.stack([mix.means, variances], axis=2))
-    marginals, labels = [], []
+    # (mean, var) as one complex key, which sorts by mean, then var
+    keys = _rounded(np.stack([mix.means, variances], axis=2)).view(complex)[:, :, 0]
+    marginals, labels, built = [], [], {}
     for i in range(mix.dim):
-        _, first, label = np.unique(
-            keys[:, i], axis=0, return_index=True, return_inverse=True
-        )
-        label = label.reshape(-1)
-        marginals.append(
-            GaussianMixture(
-                np.bincount(label, weights=mix.weights),
-                mix.means[first, i][:, None],
-                mix.covs[first, i, i][:, None, None],
-            )
-        )
+        _, first, label = np.unique(keys[:, i], return_index=True, return_inverse=True)
+        parts = np.bincount(label, weights=mix.weights), mix.means[first, i], variances[first, i]
+        key = tuple(part.tobytes() for part in parts)
+        if key not in built:
+            built[key] = GaussianMixture(parts[0], parts[1][:, None], parts[2][:, None, None])
+        marginals.append(built[key])
         labels.append(label)
-    if np.any(_rounded(mix.covs - mix.covs * np.eye(mix.dim))):
+    size = math.prod(m.n_components for m in marginals)
+    covs = mix.covs[mix._order[[g.span.start for g in mix._groups]]]  # one per group
+    if size > mix.n_components or np.any(_rounded(covs - covs * np.eye(mix.dim))):
         return marginals, False
-    combos, joint = np.unique(np.column_stack(labels), axis=0, return_inverse=True)
-    if len(combos) != math.prod(m.n_components for m in marginals):
+    # mixed-radix label codes, coordinate 0 most significant, and their product weights
+    codes, product_weights = 0, np.ones(1)
+    for label, m in zip(labels, marginals):
+        codes = codes * m.n_components + label
+        product_weights = np.outer(product_weights, m.weights).ravel()
+    if not np.bincount(codes, minlength=size).all():  # a combination is missing
         return marginals, False
-    joint_weights = np.bincount(joint.reshape(-1), weights=mix.weights)
-    product_weights = np.prod(
-        [m.weights[combos[:, i]] for i, m in enumerate(marginals)], axis=0
-    )
+    joint_weights = np.bincount(codes, weights=mix.weights)
     return marginals, not np.any(_rounded(joint_weights - product_weights))
 
 
 def _label_rows(table):
-    """Label the rows of a rounded 2-D table so that equal rows share a label.
+    """Label the rows of a 2-D table so that rows equal byte for byte share a label.
 
-    Each row is viewed as one void scalar and compared by its bytes, which
-    :func:`_rounded` makes equal for equal values.  Returns ``(keys, first,
+    Each row is viewed as one void scalar; on a :func:`_rounded` table,
+    rows equal by value are equal as bytes.  Returns ``(keys, first,
     label)``: the distinct rows as sorted void scalars, the index of each
     one's first occurrence, and each row's index into ``keys``.
     """
@@ -522,30 +536,34 @@ def check_symmetry(mix):
     multiset of components ``(w, mu, Sigma)`` onto itself as
     ``(w, S_i mu, S_i Sigma S_i)``.  Components equal at :func:`_rounded`
     are merged by summing their weights, which are then rounded the same
-    way.  Only the components that flip i moves, those with a nonzero
-    ``mu_i`` or off-diagonal ``Sigma[i, j]``, need a matching image.  The
-    single flips generate the whole sign group, so the law is symmetric when
-    no coordinate is reported.  No sampling and no density evaluation.
+    way.  Each distinct covariance is flipped once, so a component is its
+    rounded mean and covariance label, matched under all n flips in one
+    pass.  The single flips generate the whole sign group, so the law is
+    symmetric when no coordinate is reported.  No sampling and no density
+    evaluation.
     """
     n = mix.dim
-    # one row [mu | Sigma] per component; rows equal at _rounded merge
-    table = _rounded(np.column_stack([mix.means, mix.covs.reshape(-1, n * n)]))
+    # one covariance per kernel group: the distinct ones, bit for bit after + 0.0
+    covs = _rounded(mix.covs[mix._order[[g.span.start for g in mix._groups]]])
+    cov_keys, first, cov_label = _label_rows(covs.reshape(len(covs), -1))
+    covs = covs[first]
+    flips = 1.0 - 2.0 * np.eye(n)  # row i is the diagonal of S_i
+    # flipped[i, c] labels S_i Sigma_c S_i among the covariances, -1 if absent
+    flipped = np.tile(np.arange(len(covs), dtype=float), (n, 1))
+    for i in np.flatnonzero((covs - covs * np.eye(n)).any(axis=(0, 2))):
+        image = covs * np.outer(flips[i], flips[i]) + 0.0
+        rows = image.reshape(len(covs), -1).view(cov_keys.dtype)[:, 0]
+        at = np.minimum(np.searchsorted(cov_keys, rows), len(covs) - 1)
+        flipped[i] = np.where((covs[at] == image).all(axis=(1, 2)), at, -1.0)
+    table = np.column_stack([_rounded(mix.means), cov_label[mix._group_of]])
     keys, first, label = _label_rows(table)
     weights = _rounded(np.bincount(label, weights=mix.weights))
     table = table[first]
-    covs = table[:, n:].reshape(-1, n, n)
-    moved = (table[:, :n] != 0.0) | (covs - covs * np.eye(n)).any(axis=2)
-    asymmetric = []
-    for i in np.flatnonzero(moved.any(axis=0)):
-        s = np.ones(n)
-        s[i] = -1.0
-        image = table[moved[:, i]] * np.concatenate([s, np.outer(s, s).ravel()]) + 0.0
-        at = np.minimum(np.searchsorted(keys, image.view(keys.dtype).ravel()), len(keys) - 1)
-        if not (
-            np.array_equal(table[at], image)
-            and np.array_equal(weights[at], weights[moved[:, i]])
-        ):
-            asymmetric.append(int(i))
+    images = table * np.column_stack([flips, np.ones(n)])[:, None, :] + 0.0
+    images[:, :, n] = flipped[:, table[:, n].astype(np.intp)]
+    at = np.minimum(np.searchsorted(keys, images.view(keys.dtype)[..., 0]), len(keys) - 1)
+    matched = (table[at] == images).all(axis=2) & (weights[at] == weights)
+    asymmetric = np.flatnonzero(~matched.all(axis=1)).tolist()
     return SymmetryReport(not asymmetric, tuple(asymmetric))
 
 
@@ -637,17 +655,22 @@ def rotated_iid_construction(base):
 def mixture_to_json(mix):
     """Serialize to ``{dim, components: [{weight, mean, cov}]}`` with 17-digit decimals.
 
-    One ``%.17g`` template per component is filled from that component's
-    row of weight, mean and flattened covariance.
+    Each distinct weight or mean coordinate and each distinct covariance
+    block is formatted once by ``%.17g``, keyed by its bytes so that ``-0.0``
+    keeps its sign, and each component's text is joined from those pieces.
     """
     k, n = mix.means.shape
-    row = ", ".join(["%.17g"] * n)
-    template = '{"weight": %%.17g, "mean": [%s], "cov": [%s]}' % (
-        row,
-        ", ".join(["[" + row + "]"] * n),
+    values = np.column_stack([mix.weights, mix.means]).reshape(-1, 1)
+    _, first, at = _label_rows(values)
+    texts = np.array(["%.17g" % v for v in values[first, 0].tolist()], dtype=object)
+    row = "[" + ", ".join(["%.17g"] * n) + "]"
+    covs = mix.covs.reshape(k, -1)
+    _, first, label = _label_rows(covs)
+    blocks = [("[" + ", ".join([row] * n) + "]") % tuple(c) for c in covs[first].tolist()]
+    parts = ", ".join(
+        '{"weight": %s, "mean": [%s], "cov": %s}' % (w, ", ".join(m), blocks[c])
+        for (w, *m), c in zip(texts[at.reshape(k, n + 1)].tolist(), label.tolist())
     )
-    table = np.column_stack([mix.weights, mix.means, mix.covs.reshape(k, -1)]).tolist()
-    parts = ", ".join([template % tuple(values) for values in table])
     return '{"dim": %d, "components": [%s]}' % (mix.dim, parts)
 
 

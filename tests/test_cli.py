@@ -488,7 +488,10 @@ class TestDebruijnCommand:
             tmp_path, "debruijn", "--law", str(law_file), "--samples", "2000", "--nodes", "16"
         )
         assert status == 1
-        assert json.loads(text)["reference_quadrature"]["stderr"] == math.inf
+        payload = json.loads(text)
+        assert payload["reference_quadrature"]["stderr"] == math.inf
+        # no z measures agreement against an infinite sigma
+        assert math.isnan(payload["z"])
 
     def test_multivariate_without_reference(self, tmp_path):
         status, text = invoke(
@@ -518,6 +521,20 @@ class TestCalibrateCommand:
         assert payload["verdict"] == "pass"
         assert payload["max_abs_z"] <= 3.0
         assert max(e["stderr"] for e in payload["entries"]) > 0.02
+
+    def test_entry_without_a_finite_sigma_fails_and_leaves_max_z_unknown(
+        self, tmp_path, monkeypatch
+    ):
+        def unconverged(law):
+            return se.Estimate(0.0, math.inf, "quadrature_1d", 512)
+
+        monkeypatch.setattr(cli, "entropy_quadrature_1d", unconverged)
+        status, text = invoke(tmp_path, "calibrate", "--samples", "2000", "--nodes", "16")
+        assert status == 1
+        payload = json.loads(text)
+        assert payload["verdict"] == "fail"
+        assert math.isnan(payload["max_abs_z"])
+        assert sum(math.isnan(e["z"]) for e in payload["entries"]) == 2
 
     def test_verdict_stable_across_seeds(self, tmp_path):
         # frozen 10-seed window; individual seeds can land z slightly over

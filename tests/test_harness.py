@@ -440,6 +440,20 @@ class TestVerdictRule:
         assert _verdict(float("inf"), 0.1, 3.0) == HOLDS
         assert _verdict(float("nan"), 0.1, 3.0) == "inconclusive"
 
+    @pytest.mark.parametrize("tol_sigma", [math.nan, math.inf, 0.0, -1.0])
+    def test_budget_rejects_a_band_that_is_not_finite_and_positive(self, tol_sigma):
+        # each of these once decided the strict bound at gap 0.163 and sigma
+        # 4e-12: nan as violated, inf as equality, -1 as holds
+        with pytest.raises(ValueError, match="tol_sigma"):
+            se.Budget(tol_sigma=tol_sigma)
+
+    def test_agreement_z_is_nan_at_a_non_finite_sigma(self):
+        reference = se.Estimate(0.0, math.inf, "quadrature_1d", 512)
+        z, verdict = harness.agreement(se.Estimate(1.0, 0.1, "mc", 100), reference, 3.0)
+        assert math.isnan(z) and verdict == "inconclusive"
+        exact = se.Estimate(0.0, 0.0, "closed_form", 0)
+        assert harness.agreement(exact, exact, 3.0) == (math.inf, HOLDS_WITH_EQUALITY)
+
 
 class TestReportSerialization:
     def test_json_dict_schema(self):

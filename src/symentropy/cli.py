@@ -24,7 +24,8 @@ from dataclasses import asdict, dataclass
 
 from .bases import balanced_projection
 from .errors import DimensionMismatchError, SymentropyError
-from .estimators import Estimate, entropy_knn, entropy_mc, entropy_quadrature_1d, fisher_mc
+from .estimators import Estimate, entropy_knn, entropy_mc, fisher_mc
+from .estimators import entropy_quadrature_1d, entropy_quadrature_2d
 from .fixtures import builtin_law, gaussian_iid
 from .harness import (
     HOLDS,
@@ -236,9 +237,9 @@ def _debruijn(config):
         "budget": config.samples,
         "nodes": config.nodes,
     }
-    if law.dim != 1:
+    if law.dim > 2:
         return payload, True
-    reference = entropy_quadrature_1d(law)
+    reference = (entropy_quadrature_1d if law.dim == 1 else entropy_quadrature_2d)(law)
     z, verdict = agreement(est, reference, config.tol_sigma)
     payload["reference_quadrature"] = asdict(reference)
     payload["z"] = z

@@ -1,11 +1,12 @@
 """Entropy and Fisher-information estimators with quantified uncertainty.
 
 Every estimator returns an :class:`Estimate`.  Three independent entropy
-routes (Monte Carlo on the own log-density, composite Gauss-Legendre
-quadrature, and nearest-neighbor distances from samples alone) cross-check
-each other.  Every quadrature, 1-D or 2-D, entropy or Fisher, is the
-line-law rule: one array kernel over the (D, K) component arrays of D 1-D
-mixtures, never the mixture's own log-density or score.
+routes (Monte Carlo on the own log-density, nested trapezoidal quadrature,
+and nearest-neighbor distances from samples alone) cross-check each other.
+Every quadrature, 1-D or 2-D, entropy or Fisher, is the line-law rule: one
+array kernel over the (D, K) component arrays of D 1-D mixtures, never the
+mixture's own log-density or score; one pass of it gives each value and the
+value at twice the step that certifies it.
 :func:`projection_entropy` passes the line laws a . X of unit directions,
 the other 1-D estimators the law's own row, and the 2-D rule the laws of
 X_1 given each outer node of X_0.  The same weights integrate f itself; a
@@ -44,10 +45,8 @@ from .errors import (
 from .mixtures import coordinate_marginals, line_laws, push_forward_linear
 from .streams import CHUNK_SIZE, mc_mean, split_seed
 
-_GL_PANEL = 16
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_PANEL)
 _ROUNDING_FLOOR = 1e-12
-_CONVERGED = 1e-10  # largest change under panel doubling, relative to 1 + |value|
+_CONVERGED = 1e-10  # largest change from twice the step, relative to 1 + |value|
 
 
 @dataclass(frozen=True)
@@ -142,12 +141,9 @@ def cross_term_mc(d, i, j, count, seed):
     return _mc_estimate(d, count, seed, product, "mc_cross_term", NonFiniteScoreError, "score")
 
 
-# --- composite Gauss-Legendre quadrature ------------------------------------
+# --- nested trapezoidal quadrature -----------------------------------------
 
-# Panels of 16 nodes before any doubling: per line law (512 nodes), and per
-# axis of a 2-D grid ((8 * 16)^2 nodes).
-_PANELS_1D = 32
-_PANELS_2D = 8
+_STEPS = 128  # steps per half-range first tried, per line law and per grid axis
 
 
 def _radius(means, stds):
@@ -155,19 +151,20 @@ def _radius(means, stds):
     return np.max(np.abs(means), axis=-1) + 8.0 * np.max(stds, axis=-1)
 
 
-def _panel_nodes(radii, panels, fold=False):
-    # ``panels`` equal panels of 16 Gauss-Legendre nodes on [-R, R], one row
-    # of nodes x and weights w per radius R; folded, the ``panels // 2`` of
-    # them on [0, R] at doubled weights, which is the same rule for an even
-    # integrand
-    low, count = (0.0, panels // 2) if fold else (-radii, panels)
-    edges = np.ascontiguousarray(np.linspace(low, radii, count + 1, axis=-1))
-    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
-    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
-    shape = np.shape(radii) + (-1,)
-    x = (mid[..., None] + half[..., None] * _GL_NODES).reshape(shape)
-    w = (half[..., None] * _GL_WEIGHTS).reshape(shape)
-    return x, 2.0 * w if fold else w
+def _trapezoid(steps, fold):
+    # the trapezoidal rule on [-R, R]: nodes R * unit, j / steps for j in
+    # -steps..steps, at weights (R / steps) * pattern; folded, j in 0..steps
+    # at doubled weights, the same rule for an even integrand
+    unit = np.arange(0 if fold else -steps, steps + 1) / steps
+    pattern = np.full(unit.size, 2.0 if fold else 1.0)
+    pattern[[0, -1]] *= 0.5
+    return unit, pattern
+
+
+def _nested_sums(h, values, pattern):
+    # the rule at step h along the last axis, and at step 2h: its even nodes
+    # at twice their weights, endpoints included (steps are even)
+    return h * (values @ pattern), 2.0 * h * (values[..., ::2] @ pattern[::2])
 
 
 def _point_symmetric(fields, means):
@@ -189,34 +186,32 @@ def _point_symmetric(fields, means):
     return np.all(ordered(rows) == ordered(images), axis=(-2, -1))
 
 
-def _quadrature(integrate, rows, panels):
-    """Row-wise integrals by the composite rule, with panel doubling.
+def _quadrature(integrate, rows, refinements):
+    """Row-wise integrals by the nested trapezoidal rule, with step halving.
 
-    ``integrate(active, panels)`` returns the integrals and the masses of
-    the rows indexed by ``active`` with ``panels`` panels per axis.  Each
-    row's panels double, at most 3 times, until its mass is 1 and its value
-    agrees with the one at half the panels, both to ``_CONVERGED``.  Returns
-    per row the value, its stderr (the last convergence difference floored
-    by :func:`floored_stderr`, or inf while the mass is off, as the rule then
-    misses part of f) and the final panels per axis.
+    ``integrate(active, steps)`` returns, from one pass at ``steps`` steps per
+    half-range and axis, the integrals, masses and integrals at twice the step
+    of the rows ``active``.  Each row's steps double from ``_STEPS``, at most
+    ``refinements`` times, until its mass is 1 and its value agrees with the
+    one at twice the step, both to ``_CONVERGED``.  Returns per row the value,
+    its stderr (that difference floored by :func:`floored_stderr`, or inf
+    while the mass is off, as the rule then misses part of f) and its steps.
     """
-    active = np.arange(rows)
-    value_half, _ = integrate(active, max(2, panels // 2))
-    value, mass = integrate(active, panels)
-    final = np.full(rows, panels)
+    active, steps = np.arange(rows), _STEPS
+    value, mass, coarse = integrate(active, steps)
+    final = np.full(rows, steps)
 
     def differences():
-        return np.where(np.abs(mass - 1.0) <= _CONVERGED, np.abs(value - value_half), math.inf)
+        return np.where(np.abs(mass - 1.0) <= _CONVERGED, np.abs(value - coarse), math.inf)
 
-    for _ in range(3):
+    for _ in range(refinements):
         converged = differences() <= _CONVERGED * (1.0 + np.abs(value))
         active = active[~converged[active]]
         if not active.size:
             break
-        panels *= 2
-        value_half[active] = value[active]
-        value[active], mass[active] = integrate(active, panels)
-        final[active] = panels
+        steps *= 2
+        value[active], mass[active], coarse[active] = integrate(active, steps)
+        final[active] = steps
     values = value.tolist()
     stderrs = [floored_stderr(d, v) for d, v in zip(differences().tolist(), values)]
     return values, stderrs, final.tolist()
@@ -241,29 +236,32 @@ def _line_f_score_squared(t, total, top, x, means, variances):
     return values
 
 
-def _line_integrals(integrand, log_weights, means, variances, radii, panels, fold):
+def _line_integrals(integrand, log_weights, means, variances, radii, steps, fold):
     """Integrals over [-R_d, R_d] for the 1-D mixtures f_d, and their masses.
 
     Row d of the (D, K) arrays ``log_weights``, ``means`` and ``variances``
-    holds the components of f_d, and the rule is that of
-    :func:`_panel_nodes` on its own range, folded onto [0, R_d] for every
-    row when ``fold`` is set.  One pass over rows x components x nodes, in
-    slabs of at most CHUNK_SIZE node-components, gives ``t``, the weighted
-    component densities over ``exp(top)``, and their sum ``total``, so
-    f = exp(top) * total; ``integrand(t, total, top, x, means, variances)``
-    is the integrand at each node.  Returns the (2, D) integrals and masses.
+    holds the components of f_d, and the rule is :func:`_trapezoid` on its
+    own range, folded onto [0, R_d] for every row when ``fold`` is set; a
+    scalar ``radii`` gives all rows one node row.  One pass over rows x
+    components x nodes, in slabs of at most CHUNK_SIZE node-components, gives
+    ``t``, the weighted component densities over ``exp(top)``, and their sum
+    ``total``, so f = exp(top) * total; ``integrand(t, total, top, x, means,
+    variances)`` is the integrand at each node.  Returns the (3, D)
+    integrals, masses and integrals at twice the step.
     """
     rows, k = means.shape
-    x, w = _panel_nodes(radii, panels, fold)
+    unit, pattern = _trapezoid(steps, fold)
+    nodes = unit.size
+    x = np.broadcast_to(np.multiply.outer(radii, unit), (rows, nodes))
+    h = np.broadcast_to(np.divide(radii, steps), rows)
     consts = log_weights - 0.5 * np.log(2.0 * math.pi * variances)
     scales = -0.5 / variances
-    nodes = x.shape[1]
     slab_rows = max(1, CHUNK_SIZE // (k * nodes))
     slab_nodes = max(1, CHUNK_SIZE // (k * slab_rows))
-    out = np.empty((2, rows))
+    out = np.empty((3, rows))
     for r in range(0, rows, slab_rows):
         rs = slice(r, r + slab_rows)
-        values, f = np.empty_like(x[rs]), np.empty_like(x[rs])
+        values, f = np.empty(x[rs].shape), np.empty(x[rs].shape)
         for c in range(0, nodes, slab_nodes):
             cs = slice(c, c + slab_nodes)
             # rows x components x nodes, so the reductions run along whole node rows
@@ -277,8 +275,8 @@ def _line_integrals(integrand, log_weights, means, variances, radii, panels, fol
             total = t.sum(axis=1)
             values[:, cs] = integrand(t, total, top, x[rs, cs], means[rs], variances[rs])
             f[:, cs] = np.exp(top) * total
-        out[0, rs] = np.einsum("ij,ij->i", w[rs], values)
-        out[1, rs] = np.einsum("ij,ij->i", w[rs], f)
+        out[0, rs], out[2, rs] = _nested_sums(h[rs], values, pattern)
+        out[1, rs] = h[rs] * (f @ pattern)
     return out
 
 
@@ -286,26 +284,26 @@ def _line_quadrature(integrand, log_weights, means, variances):
     """Row-wise integrals for the 1-D mixtures of (D, K) arrays, by :func:`_quadrature`.
 
     Row d is integrated over [-R_d, R_d], R_d from :func:`_radius` on its
-    components, from 32 panels; a row whose law :func:`_point_symmetric`
+    components, at most 4097 nodes; a row whose law :func:`_point_symmetric`
     finds invariant under x -> -x is integrated over [0, R_d] only.  Returns
     per row the value, its stderr and the node count of the full final rule.
     """
     radii = _radius(means, np.sqrt(variances))
     fold = _point_symmetric(np.stack([log_weights, variances], axis=-1), means[..., None])
 
-    def integrate(rows, panels):
-        out = np.empty((2, len(rows)))
+    def integrate(rows, steps):
+        out = np.empty((3, len(rows)))
         for folded in (True, False):
             part = fold[rows] == folded
             if np.any(part):
                 r = rows[part]
                 out[:, part] = _line_integrals(
-                    integrand, log_weights[r], means[r], variances[r], radii[r], panels, folded
+                    integrand, log_weights[r], means[r], variances[r], radii[r], steps, folded
                 )
         return out
 
-    values, stderrs, panels = _quadrature(integrate, len(means), _PANELS_1D)
-    return values, stderrs, [p * _GL_PANEL for p in panels]
+    values, stderrs, steps = _quadrature(integrate, len(means), 4)
+    return values, stderrs, [2 * s + 1 for s in steps]
 
 
 def _conditional_lines(weights, means, covs, x):
@@ -321,12 +319,12 @@ def _conditional_lines(weights, means, covs, x):
 def _grid_quadrature(integrand, mix, swap=False):
     """A 2-D law's integral over [-R, R]^2, R of :func:`_radius` on both axes.
 
-    The outer rule over x_0 starts at 8 panels, and the inner rule at each
-    of its nodes is a row of :func:`_line_integrals` on f(x_0, .); ``swap``
-    adds the integral over the law with its coordinates swapped.  A law
-    invariant under x -> -x (:func:`_point_symmetric`), and so its swap,
-    takes the folded outer rule on [0, R].  ``count`` is the node count of
-    the full final grid.
+    Both axes take the nodes of :func:`_trapezoid`, at most 1025^2 in all.
+    The inner rule at each outer node x_0 is a row of :func:`_line_integrals`
+    on f(x_0, .); ``swap`` adds the integral over the law with its
+    coordinates swapped.  A law invariant under x -> -x
+    (:func:`_point_symmetric`), and so its swap, takes the folded outer rule
+    on [0, R].  ``count`` is the node count of the full final grid.
     """
     stds = np.sqrt(np.diagonal(mix.covs, axis1=1, axis2=2))
     radius = float(_radius(mix.means.ravel(), stds.ravel()))
@@ -336,18 +334,20 @@ def _grid_quadrature(integrand, mix, swap=False):
     if swap:
         laws.append((mix.weights, mix.means[:, ::-1], mix.covs[:, ::-1, ::-1]))
 
-    def integrate(_, panels):
-        x, w = _panel_nodes(radius, panels, fold)
-        radii = np.full(x.size, radius)
+    def integrate(_, steps):
+        unit, pattern = _trapezoid(steps, fold)
+        x = radius * unit
         inner = [
-            _line_integrals(integrand, *_conditional_lines(*law, x), radii, panels, False)
+            _line_integrals(integrand, *_conditional_lines(*law, x), radius, steps, False)
             for law in laws
         ]
+        h = radius / steps
+        fine, coarse = _nested_sums(h, sum(part[[0, 2]] for part in inner), pattern)
         # a swap integrates the same f over the same nodes: one mass serves both
-        return np.array([[sum(w @ values for values, _ in inner)], [w @ inner[0][1]]])
+        return np.array([[fine[0]], [h * (inner[0][1] @ pattern)], [coarse[1]]])
 
-    [value], [stderr], [panels] = _quadrature(integrate, 1, _PANELS_2D)
-    return Estimate(value, stderr, "quadrature_2d", (panels * _GL_PANEL) ** 2)
+    [value], [stderr], [steps] = _quadrature(integrate, 1, 2)
+    return Estimate(value, stderr, "quadrature_2d", (2 * steps + 1) ** 2)
 
 
 def _own_line_quadrature(integrand, mix):
@@ -358,14 +358,15 @@ def _own_line_quadrature(integrand, mix):
 
 
 def entropy_quadrature_1d(mix):
-    """Entropy of a 1-D mixture by adaptive composite Gauss-Legendre quadrature.
+    """Entropy of a 1-D mixture by the adaptive nested trapezoidal rule.
 
     Integrates -f log f over [-R, R], R = max |mean| + 8 max std, which
-    leaves a tail mass far below 1e-12.  Panels of 16 nodes double from 32
-    until the value is stable and the rule's mass is 1; stderr is |result -
-    result at half resolution| floored at the rounding level, or inf if the
-    mass is not 1.  A law invariant under x -> -x is integrated over [0, R]
-    at doubled weights; ``count`` is the node count of the full rule.
+    leaves a tail mass far below 1e-12.  The step R / 128 halves, at most 4
+    times (4097 nodes), until the value is stable and the rule's mass is 1;
+    stderr is |result - result at twice the step| floored at the rounding
+    level, or inf if the mass is not 1.  A law invariant under x -> -x is
+    integrated over [0, R] at doubled weights; ``count`` is the node count of
+    the full rule.
     """
     if mix.dim != 1:
         raise ValueError(f"dim: quadrature needs a 1-D law (got dim {mix.dim})")
@@ -373,14 +374,14 @@ def entropy_quadrature_1d(mix):
 
 
 def entropy_quadrature_2d(mix):
-    """Entropy of a 2-D mixture by the tensor product of the 1-D composite rule.
+    """Entropy of a 2-D mixture by the tensor product of the 1-D trapezoidal rule.
 
     Integrates -f log f over the square [-R, R]^2, R = max |mean| + 8 max
-    std over both coordinates, from 8 panels of 16 nodes per axis doubled
-    as in :func:`entropy_quadrature_1d`, so at most 1024^2 nodes: the outer
-    rule over x_0, and at each of its nodes the line-law rule on the law of
-    f(x_0, .).  A law invariant under x -> -x takes the outer rule on
-    [0, R] only; ``count`` is the node count of the full grid either way.
+    std over both coordinates, at the step R / 128 on both axes, halved as
+    in :func:`entropy_quadrature_1d` but at most twice (1025^2 nodes): the
+    outer rule over x_0, and at each of its nodes the line-law rule on the
+    law of f(x_0, .).  A law invariant under x -> -x takes the outer rule
+    on [0, R] only; ``count`` is the node count of the full grid either way.
     """
     if mix.dim != 2:
         raise ValueError(f"dim: 2-D quadrature needs a 2-D law (got dim {mix.dim})")
@@ -390,7 +391,7 @@ def entropy_quadrature_2d(mix):
 def fisher_quadrature(mix):
     """Trace Fisher information of a 1-D or 2-D mixture by quadrature of f |score|^2.
 
-    The rule, radius and doubling are those of :func:`entropy_quadrature_1d`
+    The rule, radius and refinement are those of :func:`entropy_quadrature_1d`
     in 1-D and of :func:`entropy_quadrature_2d` in 2-D, where
     f |score|^2 = (d_0 f)^2 / f + (d_1 f)^2 / f takes each term on the line
     laws along its own axis.
@@ -407,7 +408,7 @@ def projection_entropy(mix, directions):
 
     ``directions`` is a (D, n) block of unit rows.  The law of each a . X is
     the exact 1-D mixture of :func:`line_laws`, and its entropy is the rule
-    of :func:`entropy_quadrature_1d`: the same radius, panels and doubling,
+    of :func:`entropy_quadrature_1d`: the same radius, nodes and refinement,
     applied to all rows at once.  The error names the first row whose norm
     differs from 1 by more than 1e-10.
     """

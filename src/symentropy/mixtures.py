@@ -342,7 +342,7 @@ def _checked_mixture(weights, means, covs):
     The rules of :func:`make_gaussian_mixture` are each checked once over
     all components: positive finite weights with a finite sum, finite means
     and covariances, and covariances, forced symmetric, with smallest
-    eigenvalue above 1e-12.
+    eigenvalue above 1e-12, found once per distinct covariance.
     """
     at = _first_fault(~(np.isfinite(weights) & (weights > 0.0)))
     if at is not None:
@@ -361,8 +361,14 @@ def _checked_mixture(weights, means, covs):
     if at is not None:
         raise InvalidComponentError(f"component {at[0]}: mean and covariance must be finite")
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
-    _check_variance_floor(np.linalg.eigvalsh(covs)[:, 0])
-    return GaussianMixture(weights / total, means, covs)
+    try:
+        mix = GaussianMixture(weights / total, means, covs)
+    except np.linalg.LinAlgError:  # a covariance without a Cholesky factor
+        _check_variance_floor(np.linalg.eigvalsh(covs)[:, 0])
+        raise
+    heads = mix.covs[mix._order[[g.span.start for g in mix._groups]]]  # one per group
+    _check_variance_floor(np.linalg.eigvalsh(heads)[:, 0][mix._group_of])
+    return mix
 
 
 def push_forward_linear(mix, matrix):
@@ -537,10 +543,10 @@ def check_symmetry(mix):
     ``(w, S_i mu, S_i Sigma S_i)``.  Components equal at :func:`_rounded`
     are merged by summing their weights, which are then rounded the same
     way.  Each distinct covariance is flipped once, so a component is its
-    rounded mean and covariance label, matched under all n flips in one
-    pass.  The single flips generate the whole sign group, so the law is
-    symmetric when no coordinate is reported.  No sampling and no density
-    evaluation.
+    rounded mean and covariance label, matched in one pass under the flips
+    that move a mean or a covariance.  The single flips generate the whole
+    sign group, so the law is symmetric when no coordinate is reported.  No
+    sampling and no density evaluation.
     """
     n = mix.dim
     # one covariance per kernel group: the distinct ones, bit for bit after + 0.0
@@ -550,7 +556,8 @@ def check_symmetry(mix):
     flips = 1.0 - 2.0 * np.eye(n)  # row i is the diagonal of S_i
     # flipped[i, c] labels S_i Sigma_c S_i among the covariances, -1 if absent
     flipped = np.tile(np.arange(len(covs), dtype=float), (n, 1))
-    for i in np.flatnonzero((covs - covs * np.eye(n)).any(axis=(0, 2))):
+    moves = (covs - covs * np.eye(n)).any(axis=(0, 2))  # flip i moves some covariance
+    for i in np.flatnonzero(moves):
         image = covs * np.outer(flips[i], flips[i]) + 0.0
         rows = image.reshape(len(covs), -1).view(cov_keys.dtype)[:, 0]
         at = np.minimum(np.searchsorted(cov_keys, rows), len(covs) - 1)
@@ -559,11 +566,12 @@ def check_symmetry(mix):
     keys, first, label = _label_rows(table)
     weights = _rounded(np.bincount(label, weights=mix.weights))
     table = table[first]
-    images = table * np.column_stack([flips, np.ones(n)])[:, None, :] + 0.0
-    images[:, :, n] = flipped[:, table[:, n].astype(np.intp)]
+    moved = np.flatnonzero(moves | table[:, :n].any(axis=0))
+    images = table * np.column_stack([flips[moved], np.ones(len(moved))])[:, None, :] + 0.0
+    images[:, :, n] = flipped[moved][:, table[:, n].astype(np.intp)]
     at = np.minimum(np.searchsorted(keys, images.view(keys.dtype)[..., 0]), len(keys) - 1)
     matched = (table[at] == images).all(axis=2) & (weights[at] == weights)
-    asymmetric = np.flatnonzero(~matched.all(axis=1)).tolist()
+    asymmetric = moved[~matched.all(axis=1)].tolist()
     return SymmetryReport(not asymmetric, tuple(asymmetric))
 
 

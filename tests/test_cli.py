@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -493,9 +493,33 @@ class TestDebruijnCommand:
         # no z measures agreement against an infinite sigma
         assert math.isnan(payload["z"])
 
-    def test_multivariate_without_reference(self, tmp_path):
+    def test_pair_checks_against_the_2d_quadrature(self, tmp_path):
+        # a 2-D law has the reference of entropy_quadrature_2d, and the same
+        # agreement rule as a 1-D law decides the exit status
+        status, text = invoke(tmp_path, "debruijn", "--law", "builtin:rotated-bimodal")
+        assert status == 0
+        payload = json.loads(text)
+        reference = se.entropy_quadrature_2d(se.rotated_bimodal())
+        assert payload["reference_quadrature"] == json.loads(json.dumps(asdict(reference)))
+        assert payload["z"] == pytest.approx(0.3637, abs=1e-4)
+
+    def test_far_narrow_pair_reference_exits_one(self, tmp_path):
+        # the 2-D grid misses the peaks at +-100 and fails its mass certificate
+        law_file = tmp_path / "narrow-pair.json"
+        law = se.rotated_iid_construction(se.bimodal_1d(separation=100.0, var=1e-6))
+        law_file.write_text(se.mixture_to_json(law))
         status, text = invoke(
-            tmp_path, "debruijn", "--law", "builtin:gaussian-iid-n2",
+            tmp_path, "debruijn", "--law", str(law_file), "--samples", "2000", "--nodes", "16"
+        )
+        assert status == 1
+        payload = json.loads(text)
+        assert payload["reference_quadrature"]["stderr"] == math.inf
+        assert math.isnan(payload["z"])
+
+    def test_multivariate_without_reference(self, tmp_path):
+        # no quadrature reaches dim >= 3: the estimate alone, exit 0
+        status, text = invoke(
+            tmp_path, "debruijn", "--law", "builtin:gaussian-iid-n3",
             "--samples", "2000", "--nodes", "16",
         )
         assert status == 0

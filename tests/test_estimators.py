@@ -203,8 +203,9 @@ class TestQuadrature2dAndFisher:
             se.fisher_quadrature(se.gaussian_iid(3))
 
     def test_grid_held_in_slabs(self, monkeypatch):
-        # a law that never converges takes all 3 doublings, 1024^2 nodes,
-        # and no slab of their node-components exceeds CHUNK_SIZE
+        # a law that never converges takes both step halvings, 1025^2 nodes,
+        # and no slab of their node-components exceeds CHUNK_SIZE, nor wastes
+        # half of it
         from symentropy.streams import CHUNK_SIZE
 
         sizes = []
@@ -219,8 +220,8 @@ class TestQuadrature2dAndFisher:
 
         monkeypatch.setattr(estimators, "_line_neg_f_log_f", spy)
         est = se.entropy_quadrature_2d(law)
-        assert est.count == 1024**2
-        assert max(sizes) == CHUNK_SIZE
+        assert est.count == 1025**2
+        assert CHUNK_SIZE // 2 < max(sizes) <= CHUNK_SIZE
 
 
 class TestEntropyDecomposed:
@@ -438,7 +439,7 @@ class TestProjectionEntropy:
         assert len(_two_group_law()._groups) >= 2
 
     def test_only_unconverged_rows_double(self):
-        # narrow components at +-30 along the first axis need panel doublings;
+        # narrow components at +-30 along the first axis need step halvings;
         # the second axis sees one narrow Gaussian, which does not
         law = se.make_gaussian_mixture(
             [(0.5, [-30.0, 0.0], 1e-3 * np.eye(2)), (0.5, [30.0, 0.0], 1e-3 * np.eye(2))]
@@ -450,7 +451,7 @@ class TestProjectionEntropy:
             for a in rows
         ]
         assert [est.count for est in estimates] == counts
-        assert counts[0] > counts[1] == 512
+        assert counts[0] > counts[1] == 257
 
     def test_non_unit_row_is_named(self):
         rows = np.array([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0]])
@@ -567,16 +568,76 @@ class TestSymmetryFolding:
         points = []
         line_integrals = estimators._line_integrals
 
-        def spy(integrand, log_weights, means, variances, radii, panels, fold):
+        def spy(integrand, log_weights, means, variances, radii, steps, fold):
             # outer rows x inner nodes
-            points.append(len(means) * panels * 16)
-            return line_integrals(integrand, log_weights, means, variances, radii, panels, fold)
+            points.append(len(means) * (2 * steps + 1))
+            return line_integrals(integrand, log_weights, means, variances, radii, steps, fold)
 
         monkeypatch.setattr(estimators, "_line_integrals", spy)
         est = se.entropy_quadrature_2d(pair)
-        # one doubling: half of the 64^2 + 128^2 + 256^2 nodes of the full grids
-        assert sum(points) == 43008
-        assert est.count == 256**2
+        # no refinement: the 129 outer nodes on [0, R] of the 257^2 full grid
+        assert points == [129 * 257]
+        assert est.count == 257**2
+
+
+def _evaluated_nodes(monkeypatch):
+    # nodes at which either integrand is evaluated, summed over every call
+    nodes = []
+    for name in ("_line_neg_f_log_f", "_line_f_score_squared"):
+        integrand = getattr(estimators, name)
+
+        def spy(t, *args, integrand=integrand):
+            nodes.append(t.shape[0] * t.shape[2])  # rows x components x nodes
+            return integrand(t, *args)
+
+        monkeypatch.setattr(estimators, name, spy)
+    return nodes
+
+
+class TestNestedTrapezoid:
+    def test_one_pass_evaluates_each_node_once(self, monkeypatch):
+        # the value, the mass and the value at twice the step come from one
+        # pass: 129 folded nodes for a 1-D row, 129 x 257 for the kdim pair
+        law = se.bimodal_product(3)
+        pair = se.push_forward_linear(law, se.balanced_projection(2, 3, "frequency_pairs").matrix)
+        nodes = _evaluated_nodes(monkeypatch)
+        assert se.entropy_quadrature_1d(se.bimodal_1d()).count == 257
+        assert sum(nodes) == 129
+        nodes.clear()
+        assert se.entropy_quadrature_2d(pair).count == 257**2
+        assert sum(nodes) == 129 * 257
+
+    @pytest.mark.parametrize("fold", [False, True])
+    @pytest.mark.parametrize("steps", [2, 128])
+    def test_even_nodes_are_the_rule_at_twice_the_step(self, fold, steps):
+        unit, pattern = estimators._trapezoid(steps, fold)
+        coarse_unit, coarse_pattern = estimators._trapezoid(steps // 2, fold)
+        assert np.array_equal(unit[::2], coarse_unit)
+        assert np.array_equal(pattern[::2], coarse_pattern)
+        # both integrate the standard normal density over [-8, 8] to 1
+        radius = 8.0
+        density = np.exp(-0.5 * (radius * unit) ** 2) / math.sqrt(2.0 * math.pi)
+        fine, coarse = estimators._nested_sums(radius / steps, density, pattern)
+        if steps == 128:
+            assert fine == pytest.approx(1.0, abs=1e-14)
+            assert coarse == pytest.approx(1.0, abs=1e-14)
+        assert coarse == estimators._nested_sums(2 * radius / steps, density[::2], coarse_pattern)[0]
+
+    def test_hadamard_pair_reaches_its_floor(self):
+        # the 2x4 Hadamard push-forward of bimodal-product-n4 certifies at the
+        # rounding floor (5.4e-12) from its first pass
+        law = se.bimodal_product(4)
+        pair = se.push_forward_linear(law, se.balanced_projection(2, 4, "hadamard").matrix)
+        est = se.entropy_quadrature_2d(pair)
+        assert est.stderr == estimators.floored_stderr(0.0, est.value)
+        assert est.stderr < 5.5e-12
+
+    def test_fisher_lemma_sigma_at_its_floor(self):
+        # guards the start of 128 steps: at 96 the Fisher rule's difference
+        # passes the convergence test but not the floor, and sigma rises 34x
+        report = se.verify_fisher_lemma(se.bimodal_product(3), se.Budget())
+        assert report.lhs.stderr == estimators.floored_stderr(0.0, report.lhs.value)
+        assert report.sigma < 1.7e-12
 
 
 class TestFisherMc:

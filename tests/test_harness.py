@@ -44,6 +44,30 @@ class TestMassCertificate:
             assert verdict == harness.INCONCLUSIVE or abs(est.value - truth) <= 3 * est.stderr
 
 
+    def test_far_narrow_laws_stop_at_the_node_cap(self):
+        # every refinement misses part of the peaks: the rules end at the
+        # node cap, 4097 nodes per line law and 1025^2 per grid, with stderr
+        # inf, and every statement reads inconclusive
+        product = se.bimodal_product(3, separation=100.0, var=1e-6)
+        pair = se.rotated_iid_construction(FAR_NARROW_BASE)
+        for rule, law, count in (
+            (se.entropy_quadrature_1d, FAR_NARROW_BASE, 4097),
+            (se.fisher_quadrature, FAR_NARROW_BASE, 4097),
+            (se.entropy_quadrature_2d, pair, 1025**2),
+            (se.fisher_quadrature, pair, 1025**2),
+        ):
+            est = rule(law)
+            assert (est.count, est.stderr) == (count, math.inf)
+        for report in (
+            se.verify_main(product, BUDGET),
+            se.verify_fisher_lemma(product, BUDGET),
+            se.verify_main(pair, BUDGET),
+            se.verify_fisher_lemma(pair, BUDGET),
+            se.equality_demo_n2(FAR_NARROW_BASE, BUDGET),
+        ):
+            assert report.verdict == harness.INCONCLUSIVE
+
+
 class TestVerifyMain:
     def test_gaussian_equality(self):
         report = se.verify_main(se.gaussian_iid(3), BUDGET)

@@ -1,7 +1,11 @@
 """Every module of the package, other than ``__init__``, uses each name it
-imports and imports no underscore name from another module of the package."""
+imports and imports no underscore name from another module of the package;
+importing the package loads no module it does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +64,16 @@ def test_check_finds_a_private_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_private_imports(module):
     assert _private_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # the quadratures need no Gauss-Legendre table at import time
+    code = "import sys, symentropy; print('numpy.polynomial' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert result.stdout.strip() == "False"

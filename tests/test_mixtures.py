@@ -76,6 +76,33 @@ class TestConstruction:
         with pytest.raises(error, match="component 2"):
             se.make_gaussian_mixture([good, good, fault])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 1e-13]]],
+        ids=["singular", "below-floor"],
+    )
+    def test_repeated_bad_covariance_names_its_first_component(self, bad):
+        # components 3 and 7 share one bad covariance, checked once
+        good = (0.1, [0.0, 0.0], np.eye(2))
+        components = [good] * 10
+        components[3] = components[7] = (0.1, [1.0, 0.0], bad)
+        with pytest.raises(se.NotPositiveDefiniteError, match="component 3:"):
+            se.make_gaussian_mixture(components)
+
+    def test_eigenvalues_once_per_distinct_covariance(self, monkeypatch):
+        law = se.bimodal_product(8)
+        blocks = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            blocks.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        built = se.make_gaussian_mixture(law.components)
+        assert blocks == [1] and law.n_components == 256
+        assert np.array_equal(built.covs, law.covs)
+
     def test_nonpositive_weight(self):
         with pytest.raises(ValueError, match="weight"):
             se.make_gaussian_mixture([(0.0, [0.0], [[1.0]])])

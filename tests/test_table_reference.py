@@ -255,6 +255,25 @@ def test_check_symmetry_matches_reference():
         assert se.check_symmetry(law) == reference_check_symmetry(law), name
 
 
+@pytest.mark.parametrize(
+    "mean_at, cov_at, asymmetric",
+    [(None, None, ()), (300, None, (300,)), (None, (10, 20), (10, 20))],
+    ids=["iid", "one-shifted-mean", "one-covariance-pair"],
+)
+def test_check_symmetry_matches_reference_at_n512(mean_at, cov_at, asymmetric):
+    # only the flips that move a mean coordinate or a covariance entry are
+    # matched; every other flip fixes every component
+    mean, cov = np.zeros(512), np.eye(512)
+    if mean_at is not None:
+        mean[mean_at] = 0.5
+    if cov_at is not None:
+        cov[cov_at] = cov[cov_at[::-1]] = 0.3
+    law = se.make_gaussian_mixture([(1.0, mean, cov)])
+    report = se.check_symmetry(law)
+    assert report == reference_check_symmetry(law)
+    assert report.asymmetric_coordinates == asymmetric
+
+
 def test_symmetric_and_asymmetric_laws_are_both_covered():
     verdicts = [reference_check_symmetry(law).verdict for law in LAWS.values()]
     assert 60 <= sum(verdicts) < len(verdicts)

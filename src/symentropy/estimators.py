@@ -6,22 +6,23 @@ and nearest-neighbor distances from samples alone) cross-check each other.
 Every quadrature, 1-D or 2-D, entropy or Fisher, is the line-law rule: one
 array kernel over the (D, K) component arrays of D 1-D mixtures, never the
 mixture's own log-density or score; one pass of it gives each value and the
-value at twice the step that certifies it.
-:func:`projection_entropy` passes the line laws a . X of unit directions,
-the other 1-D estimators the law's own row, and the 2-D rule the laws of
-X_1 given each outer node of X_0.  The same weights integrate f itself; a
-rule whose mass is not 1 misses part of f and reports stderr inf.  A law
-whose components are closed under mu -> -mu has an even integrand, so the
-rule evaluates only its nodes with a nonnegative first coordinate, at
-doubled weights; the ``count`` of an estimate is still the node count of
-the full rule.  One structure rule gives h(X) (:func:`entropy_decomposed`)
-and I(X) (:func:`fisher_decomposed`): a product of its coordinate marginals
-is the sum of their quadratures, each distinct one integrated once; another
-2-D law is its 2-D rule, if that converged; anything else draws, h(X) as the
-marginal quadratures minus a Monte Carlo total correlation and I(X) by
-:func:`fisher_mc`.  Alongside are Monte Carlo estimators for score cross
-terms, the conditional-score projection identity, and a mixed-partial
-independence probe.
+value at twice the step that certifies it.  Every 1-D estimator goes
+through one entry, :func:`_line_quadrature`, on the line laws a . X of
+:func:`line_laws`: :func:`projection_entropy` on unit directions a, the
+other 1-D estimators on the law's own row a = [1].  The 2-D rule takes the
+laws of X_1 given each outer node of X_0.  The same weights integrate f
+itself; a rule whose mass is not 1 misses part of f and reports stderr inf.
+A law whose components are closed under mu -> -mu, decided once per law,
+has an even integrand on every line, so the rule evaluates only its nodes
+with a nonnegative first coordinate, at doubled weights; the ``count`` of
+an estimate is still the node count of the full rule.  One structure rule
+gives h(X) (:func:`entropy_decomposed`) and I(X) (:func:`fisher_decomposed`):
+a product of its coordinate marginals is the sum of their quadratures, each
+distinct one integrated once; another 2-D law is its 2-D rule, if that
+converged; anything else draws, h(X) as the marginal quadratures minus a
+Monte Carlo total correlation and I(X) by :func:`fisher_mc`.  Alongside are
+Monte Carlo estimators for score cross terms, the conditional-score
+projection identity, and a mixed-partial independence probe.
 
 Every Monte Carlo mean (entropy, Fisher information, score cross term and
 total correlation) is formed by :func:`_mc_estimate`, with a stderr from the
@@ -167,23 +168,20 @@ def _nested_sums(h, values, pattern):
     return h * (values @ pattern), 2.0 * h * (values[..., ::2] @ pattern[::2])
 
 
-def _point_symmetric(fields, means):
-    """Per law, whether its components are closed under mu -> -mu, exactly.
+def _point_symmetric(mix):
+    """Whether a law's components are closed under mu -> -mu, exactly.
 
-    ``fields`` (..., K, F) holds what the flip keeps of each of K components
-    and ``means`` (..., K, M) their means; a law is point-symmetric when its
-    rows ``[fields | mu]`` and ``[fields | -mu]``, each sorted along the
-    component axis, are equal bit for bit (``+ 0.0`` makes -0.0 equal 0.0).
-    No tolerance: a law symmetric only up to rounding is not folded.
+    The rows ``(weight, covariance group, mu)`` and ``(weight, covariance
+    group, -mu)`` of its components, each sorted, must be equal; bit-equal
+    covariances share a kernel group (``GaussianMixture._group_of``).  No
+    tolerance: a law symmetric only up to rounding is not folded.  A law
+    that passes has every line law a . X point-symmetric too, as
+    a . (-mu) is -(a . mu) and the variance a^T Sigma a is the same.
     """
-
-    def ordered(rows):
-        order = np.lexsort(np.moveaxis(rows, -1, 0), axis=-1)
-        return np.take_along_axis(rows, order[..., None], axis=-2)
-
-    rows = np.concatenate([fields, means], axis=-1) + 0.0
-    images = np.concatenate([fields, -means], axis=-1) + 0.0
-    return np.all(ordered(rows) == ordered(images), axis=(-2, -1))
+    rows = np.column_stack([mix.weights, mix._group_of, mix.means])
+    images = rows.copy()
+    images[:, 2:] *= -1.0
+    return np.array_equal(rows[np.lexsort(rows.T)], images[np.lexsort(images.T)])
 
 
 def _quadrature(integrate, rows, refinements):
@@ -280,30 +278,29 @@ def _line_integrals(integrand, log_weights, means, variances, radii, steps, fold
     return out
 
 
-def _line_quadrature(integrand, log_weights, means, variances):
-    """Row-wise integrals for the 1-D mixtures of (D, K) arrays, by :func:`_quadrature`.
+def _line_quadrature(integrand, mix, directions):
+    """Integrals over the line laws a . X, one :class:`Estimate` per row a of ``directions``.
 
-    Row d is integrated over [-R_d, R_d], R_d from :func:`_radius` on its
-    components, at most 4097 nodes; a row whose law :func:`_point_symmetric`
-    finds invariant under x -> -x is integrated over [0, R_d] only.  Returns
-    per row the value, its stderr and the node count of the full final rule.
+    The rows are :func:`line_laws`; row d is integrated by
+    :func:`_quadrature` over [-R_d, R_d], R_d from :func:`_radius` on its
+    components, at most 4097 nodes, with one :func:`_line_integrals` call per
+    refinement.  A law that :func:`_point_symmetric` finds invariant under
+    x -> -x has every row integrated over [0, R_d] only.  ``count`` is the
+    node count of the full final rule.
     """
+    weights, means, variances = line_laws(mix, directions)
+    log_weights = np.broadcast_to(np.log(weights), means.shape)
     radii = _radius(means, np.sqrt(variances))
-    fold = _point_symmetric(np.stack([log_weights, variances], axis=-1), means[..., None])
+    fold = _point_symmetric(mix)
 
     def integrate(rows, steps):
-        out = np.empty((3, len(rows)))
-        for folded in (True, False):
-            part = fold[rows] == folded
-            if np.any(part):
-                r = rows[part]
-                out[:, part] = _line_integrals(
-                    integrand, log_weights[r], means[r], variances[r], radii[r], steps, folded
-                )
-        return out
+        lines = log_weights[rows], means[rows], variances[rows], radii[rows]
+        return _line_integrals(integrand, *lines, steps, fold)
 
     values, stderrs, steps = _quadrature(integrate, len(means), 4)
-    return values, stderrs, [2 * s + 1 for s in steps]
+    return [
+        Estimate(v, e, "quadrature_1d", 2 * s + 1) for v, e, s in zip(values, stderrs, steps)
+    ]
 
 
 def _conditional_lines(weights, means, covs, x):
@@ -328,8 +325,7 @@ def _grid_quadrature(integrand, mix, swap=False):
     """
     stds = np.sqrt(np.diagonal(mix.covs, axis1=1, axis2=2))
     radius = float(_radius(mix.means.ravel(), stds.ravel()))
-    fields = np.column_stack([mix.weights, mix.covs.reshape(len(mix.weights), -1)])
-    fold = bool(_point_symmetric(fields, mix.means))
+    fold = _point_symmetric(mix)
     laws = [(mix.weights, mix.means, mix.covs)]
     if swap:
         laws.append((mix.weights, mix.means[:, ::-1], mix.covs[:, ::-1, ::-1]))
@@ -350,13 +346,6 @@ def _grid_quadrature(integrand, mix, swap=False):
     return Estimate(value, stderr, "quadrature_2d", (2 * steps + 1) ** 2)
 
 
-def _own_line_quadrature(integrand, mix):
-    # a 1-D mixture's integral as the one row of line-law arrays
-    lines = np.log(mix.weights)[None, :], mix.means.T, mix.covs[:, 0, 0][None, :]
-    [value], [stderr], [nodes] = _line_quadrature(integrand, *lines)
-    return Estimate(value, stderr, "quadrature_1d", nodes)
-
-
 def entropy_quadrature_1d(mix):
     """Entropy of a 1-D mixture by the adaptive nested trapezoidal rule.
 
@@ -370,7 +359,8 @@ def entropy_quadrature_1d(mix):
     """
     if mix.dim != 1:
         raise ValueError(f"dim: quadrature needs a 1-D law (got dim {mix.dim})")
-    return _own_line_quadrature(_line_neg_f_log_f, mix)
+    [est] = _line_quadrature(_line_neg_f_log_f, mix, [[1.0]])
+    return est
 
 
 def entropy_quadrature_2d(mix):
@@ -397,7 +387,8 @@ def fisher_quadrature(mix):
     laws along its own axis.
     """
     if mix.dim == 1:
-        return _own_line_quadrature(_line_f_score_squared, mix)
+        [est] = _line_quadrature(_line_f_score_squared, mix, [[1.0]])
+        return est
     if mix.dim == 2:
         return _grid_quadrature(_line_f_score_squared, mix, swap=True)
     raise ValueError(f"dim: Fisher quadrature needs a 1-D or 2-D law (got dim {mix.dim})")
@@ -420,12 +411,7 @@ def projection_entropy(mix, directions):
             raise NotUnitVectorError(
                 f"directions row {off[0]}: norm {norms[off[0]]} differs from 1 by > 1e-10"
             )
-    weights, means, variances = line_laws(mix, directions)
-    log_weights = np.broadcast_to(np.log(weights), means.shape)
-    values, stderrs, nodes = _line_quadrature(_line_neg_f_log_f, log_weights, means, variances)
-    return [
-        Estimate(v, s, "quadrature_1d", c) for v, s, c in zip(values, stderrs, nodes)
-    ]
+    return _line_quadrature(_line_neg_f_log_f, mix, directions)
 
 
 def _marginal_sum(rule, marginals):

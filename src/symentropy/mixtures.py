@@ -601,8 +601,9 @@ def check_independence(mix, i):
     atoms are its rounded ``(mu_i, Sigma_ii)`` and ``(mu_rest,
     Sigma_rest,rest)``.  The verdict is True exactly when, at
     :func:`_rounded`, every component has a zero cross-covariance block
-    ``Sigma[i, rest]`` and the weight table ``W`` over (Z_i atom, Z_rest
-    atom) pairs is the outer product of its margins.
+    ``Sigma[i, rest]``, every (Z_i atom, Z_rest atom) pair is some
+    component's, and the weight table ``W`` over these pairs is the outer
+    product of its margins.
 
     This is exact.  An independent law is the product of its two marginal
     mixtures, ``sum_ab p_a q_b N_a (x) N_b``, whose components all have a
@@ -610,7 +611,9 @@ def check_independence(mix, i):
     identifiable (Teicher 1963), so the law's own components, merged where
     equal, are exactly these, and the check passes.  Conversely, when it
     passes, every component is ``N_a (x) N_b`` with weight ``p_a q_b``, and
-    the sum factors.  No sampling and no density evaluation.
+    the sum factors.  A missing pair fails the check even when its product
+    weight rounds to 0, as :func:`coordinate_marginals` fails such a law.  No
+    sampling and no density evaluation.
     """
     n = mix.dim
     i = int(i)
@@ -626,12 +629,14 @@ def check_independence(mix, i):
         b = np.zeros_like(a)
     max_cross = float(np.abs(cross).max(initial=0.0))
     residual = _weight_residual(a, b, mix.weights)
+    atoms = (int(a.max()) + 1, int(b.max()) + 1)
+    every_pair = np.unique(a * atoms[1] + b).size == atoms[0] * atoms[1]
     return IndependenceReport(
-        verdict=max_cross == 0.0 and residual == 0.0,
+        verdict=max_cross == 0.0 and residual == 0.0 and every_pair,
         coordinate=i,
         max_cross_covariance=max_cross,
         max_weight_residual=residual,
-        atoms=(int(a.max()) + 1, int(b.max()) + 1),
+        atoms=atoms,
     )
 
 

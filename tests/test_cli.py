@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import symentropy as se
-from symentropy import cli, harness
+from symentropy import cli, estimators, harness
+from symentropy.streams import CHUNK_SIZE, split_seed
 from symentropy.cli import ConfigError, RunConfig, main, run
 
 
@@ -476,7 +477,7 @@ class TestDebruijnCommand:
         )
         assert status == 0
         payload = json.loads(text)
-        assert "reference_quadrature" in payload
+        assert payload["reference"]["method"] == "decomposed"
         assert payload["z"] <= 3.0
 
     def test_far_narrow_reference_exits_one(self, tmp_path):
@@ -489,18 +490,19 @@ class TestDebruijnCommand:
         )
         assert status == 1
         payload = json.loads(text)
-        assert payload["reference_quadrature"]["stderr"] == math.inf
+        assert payload["reference"]["stderr"] == math.inf
         # no z measures agreement against an infinite sigma
         assert math.isnan(payload["z"])
 
     def test_pair_checks_against_the_2d_quadrature(self, tmp_path):
-        # a 2-D law has the reference of entropy_quadrature_2d, and the same
-        # agreement rule as a 1-D law decides the exit status
+        # the structure rule gives a non-product 2-D law the reference of
+        # entropy_quadrature_2d, and the same agreement rule as a 1-D law
+        # decides the exit status
         status, text = invoke(tmp_path, "debruijn", "--law", "builtin:rotated-bimodal")
         assert status == 0
         payload = json.loads(text)
         reference = se.entropy_quadrature_2d(se.rotated_bimodal())
-        assert payload["reference_quadrature"] == json.loads(json.dumps(asdict(reference)))
+        assert payload["reference"] == json.loads(json.dumps(asdict(reference)))
         assert payload["z"] == pytest.approx(0.3637, abs=1e-4)
 
     def test_far_narrow_pair_reference_exits_one(self, tmp_path):
@@ -513,17 +515,62 @@ class TestDebruijnCommand:
         )
         assert status == 1
         payload = json.loads(text)
-        assert payload["reference_quadrature"]["stderr"] == math.inf
+        assert payload["reference"]["stderr"] == math.inf
         assert math.isnan(payload["z"])
 
-    def test_multivariate_without_reference(self, tmp_path):
-        # no quadrature reaches dim >= 3: the estimate alone, exit 0
+    @pytest.mark.parametrize("name", ["gaussian-iid-n3", "bimodal-product-n3"])
+    def test_multivariate_checks_against_the_structure_rule(self, tmp_path, name):
+        # a product law with n >= 3 has h(X) as the sum of its marginal
+        # quadratures, drawn from no stream
         status, text = invoke(
-            tmp_path, "debruijn", "--law", "builtin:gaussian-iid-n3",
+            tmp_path, "debruijn", "--law", f"builtin:{name}",
             "--samples", "2000", "--nodes", "16",
         )
         assert status == 0
-        assert "reference_quadrature" not in json.loads(text)
+        payload = json.loads(text)
+        reference = se.entropy_decomposed(se.builtin_law(name), 2000, 0)
+        assert payload["reference"] == json.loads(json.dumps(asdict(reference)))
+        assert payload["reference"]["count"] == 0
+        assert payload["z"] <= 3.0
+
+    def test_far_narrow_n3_reference_exits_one(self, tmp_path):
+        # the marginal quadratures miss the peaks at +-100: the reference
+        # stderr is inf, so the check is inconclusive, not a pass
+        law_file = tmp_path / "narrow-n3.json"
+        law_file.write_text(se.mixture_to_json(se.bimodal_product(3, separation=100.0, var=1e-6)))
+        status, text = invoke(
+            tmp_path, "debruijn", "--law", str(law_file), "--samples", "2000", "--nodes", "16"
+        )
+        assert status == 1
+        payload = json.loads(text)
+        assert payload["reference"]["stderr"] == math.inf
+        assert math.isnan(payload["z"])
+
+    def test_drawn_reference_shares_no_stream_with_the_nodes(self, tmp_path, monkeypatch):
+        # a non-product law with n >= 3 draws its total correlation, from
+        # streams that no de Bruijn node draws from
+        cov = [[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        law = se.symmetrize(se.make_gaussian_mixture([(1.0, [1.0, 0.5, 0.0], cov)]))
+        assert not se.coordinate_marginals(law)[1]
+        law_file = tmp_path / "correlated.json"
+        law_file.write_text(se.mixture_to_json(law))
+        drawn = {}
+        mc_estimate = estimators._mc_estimate
+
+        def spy(law, count, seed, statistic, method, *rest):
+            # the stream of each chunk the estimate draws, by method
+            chunks = {split_seed(seed, i) for i in range(-(-count // CHUNK_SIZE))}
+            drawn.setdefault(method, set()).update(chunks)
+            return mc_estimate(law, count, seed, statistic, method, *rest)
+
+        monkeypatch.setattr(estimators, "_mc_estimate", spy)
+        status, text = invoke(
+            tmp_path, "debruijn", "--law", str(law_file), "--samples", "200", "--nodes", "16"
+        )
+        assert status in (0, 1)
+        assert json.loads(text)["reference"]["count"] == 200
+        assert drawn.keys() == {"mc_score", "mc_total_correlation"}
+        assert not drawn["mc_total_correlation"] & drawn["mc_score"]
 
 
 class TestCalibrateCommand:

@@ -453,6 +453,18 @@ class TestProjectionEntropy:
         assert [est.count for est in estimates] == counts
         assert counts[0] > counts[1] == 257
 
+    def test_each_refinement_is_one_call(self, monkeypatch):
+        # both rows in the first pass, then the unconverged row alone, one
+        # _line_integrals call per halving of its step
+        law = se.make_gaussian_mixture(
+            [(0.5, [-30.0, 0.0], 1e-3 * np.eye(2)), (0.5, [30.0, 0.0], 1e-3 * np.eye(2))]
+        )
+        calls = _line_calls(monkeypatch)
+        estimates = se.projection_entropy(law, np.eye(2))
+        assert len(calls) > 1
+        assert calls == [(True, 2 if r == 0 else 1, 2, 128 << r) for r in range(len(calls))]
+        assert estimates[0].count == 2 * calls[-1][3] + 1
+
     def test_non_unit_row_is_named(self):
         rows = np.array([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0]])
         with pytest.raises(se.NotUnitVectorError, match="row 2"):
@@ -464,7 +476,7 @@ def _full_rule(monkeypatch):
     monkeypatch.setattr(
         estimators,
         "_point_symmetric",
-        lambda fields, means: np.zeros(np.shape(means)[:-2], dtype=bool),
+        lambda mix: False,
     )
 
 
@@ -479,6 +491,19 @@ def _line_folds(monkeypatch):
 
     monkeypatch.setattr(estimators, "_line_integrals", spy)
     return folds
+
+
+def _line_calls(monkeypatch):
+    # (fold, rows, components, steps) of every _line_integrals call, in order
+    calls = []
+    line_integrals = estimators._line_integrals
+
+    def spy(integrand, log_weights, means, variances, radii, steps, fold):
+        calls.append((fold, *means.shape, steps))
+        return line_integrals(integrand, log_weights, means, variances, radii, steps, fold)
+
+    monkeypatch.setattr(estimators, "_line_integrals", spy)
+    return calls
 
 
 def _sum_rules(n):
@@ -510,13 +535,13 @@ class TestSymmetryFolding:
         decide = estimators._point_symmetric
         decisions = []
 
-        def spy(fields, means):
-            decisions.append(decide(fields, means))
+        def spy(mix):
+            decisions.append(decide(mix))
             return decisions[-1]
 
         monkeypatch.setattr(estimators, "_point_symmetric", spy)
         folded = FOLDED_RULES[case]()
-        assert decisions and all(np.all(d) for d in decisions)
+        assert decisions and all(decisions)
         _full_rule(monkeypatch)
         full = FOLDED_RULES[case]()
         assert len(folded) == len(full)
@@ -539,6 +564,43 @@ class TestSymmetryFolding:
         assert folds and not any(folds)
         _full_rule(monkeypatch)
         assert (se.entropy_quadrature_1d(law), se.fisher_quadrature(law)) == estimates
+
+    def test_symmetric_row_of_a_law_that_is_not_runs_the_full_rule(self, monkeypatch):
+        # X_0 is symmetric and X_1 is not: the line law of e_0 . X is
+        # point-symmetric, but the fold is decided on the law, which is not
+        law = se.make_gaussian_mixture(
+            [(0.5, [-1.0, 2.0], np.eye(2)), (0.5, [1.0, 2.0], np.eye(2))]
+        )
+        line = se.make_gaussian_mixture([(0.5, [-1.0], [[1.0]]), (0.5, [1.0], [[1.0]])])
+        assert not estimators._point_symmetric(law)
+        calls = _line_calls(monkeypatch)
+        [full] = se.projection_entropy(law, [[1.0, 0.0]])
+        assert calls == [(False, 1, 2, 128)]
+        calls.clear()
+        folded = se.entropy_quadrature_1d(line)
+        assert calls == [(True, 1, 2, 128)]
+        assert abs(full.value - folded.value) <= 1e-13 * (1.0 + abs(folded.value))
+        assert full.count == folded.count
+
+    @pytest.mark.parametrize("rule", [se.entropy_quadrature_1d, se.fisher_quadrature])
+    def test_own_row_merges_a_duplicated_component(self, monkeypatch, rule):
+        split = se.make_gaussian_mixture(
+            [(0.25, [1.0], [[1.0]]), (0.25, [-1.0], [[1.0]])] * 2
+        )
+        whole = se.make_gaussian_mixture([(0.5, [1.0], [[1.0]]), (0.5, [-1.0], [[1.0]])])
+        calls = _line_calls(monkeypatch)
+        assert rule(split) == rule(whole)
+        assert calls == [(True, 1, 2, 128)] * 2
+
+    @pytest.mark.parametrize("n, merged", [(3, 4), (8, 11)])
+    def test_fisher_lemma_sum_row_is_merged(self, monkeypatch, n, merged):
+        # the pushed sum law's own row, merged where its components are
+        # bit-equal: 2^n components become a few
+        ones = np.ones((1, n)) / math.sqrt(n)
+        pushed = se.push_forward_linear(se.bimodal_product(n), ones)
+        calls = _line_calls(monkeypatch)
+        se.fisher_quadrature(pushed)
+        assert calls == [(True, 1, merged, 128)]
 
     @settings(max_examples=25, deadline=None)
     @given(

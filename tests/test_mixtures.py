@@ -511,8 +511,7 @@ class TestSymmetrize:
         out = se.symmetrize(law)
         assert out.means.ravel().tolist() == [-2.0, 0.0, 2.0]
         assert out.weights.tolist() == [0.25, 0.5, 0.25]
-        fields = np.column_stack([out.weights, out.covs.reshape(3, -1)])
-        assert estimators._point_symmetric(fields, out.means)
+        assert estimators._point_symmetric(out)
 
     @settings(max_examples=15, deadline=None)
     @given(small_mixtures())

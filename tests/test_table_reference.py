@@ -245,6 +245,14 @@ def test_missing_combination_of_negligible_weight_breaks_product():
     assert not se.coordinate_marginals(NEGLIGIBLE_MISSING_COMBINATION)[1]
 
 
+@pytest.mark.parametrize("i", [0, 1])
+def test_missing_combination_of_negligible_weight_breaks_independence(i):
+    # the weight table's residue rounds to 0, but one atom pair is missing
+    report = se.check_independence(NEGLIGIBLE_MISSING_COMBINATION, i)
+    assert report.max_weight_residual == 0.0
+    assert report.verdict is False
+
+
 def test_equal_marginals_share_one_mixture():
     marginals, _ = se.coordinate_marginals(se.bimodal_product(8))
     assert all(m is marginals[0] for m in marginals)

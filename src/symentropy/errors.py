@@ -32,8 +32,8 @@ class NegativeTimeError(SymentropyError):
 
 
 class DimensionTooLargeError(SymentropyError):
-    """A dimension above a supported limit: n <= 12 for sign-reflection
-    symmetrization, and n <= ``mixtures.MAX_DIM`` (512) for any law."""
+    """A dimension above a supported limit: 12 for symmetrization, 64 for
+    the Gaussianity probe, and ``mixtures.MAX_DIM`` (512) for any law."""
 
 
 class NotSymmetricBaseError(SymentropyError):

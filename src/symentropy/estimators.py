@@ -16,13 +16,13 @@ A law whose components are closed under mu -> -mu, decided once per law,
 has an even integrand on every line, so the rule evaluates only its nodes
 with a nonnegative first coordinate, at doubled weights; the ``count`` of
 an estimate is still the node count of the full rule.  One structure rule
-gives h(X) (:func:`entropy_decomposed`) and I(X) (:func:`fisher_decomposed`):
-a product of its coordinate marginals is the sum of their quadratures, each
-distinct one integrated once; another 2-D law is its 2-D rule, if that
-converged; anything else draws, h(X) as the marginal quadratures minus a
-Monte Carlo total correlation and I(X) by :func:`fisher_mc`.  Alongside are
-Monte Carlo estimators for score cross terms, the conditional-score
-projection identity, and a mixed-partial independence probe.
+gives h(X) (:func:`entropy_decomposed`) and I(X) (:func:`fisher_decomposed`)
+as a sum over the blocks of :func:`coordinate_marginals`: a 1-D block is its
+marginal's quadrature, each distinct marginal integrated once; a 2-D block
+its 2-D rule, if that converged; any other block draws, h as its marginal
+quadratures minus a Monte Carlo total correlation, I by :func:`fisher_mc`.
+Alongside are Monte Carlo estimators for score cross terms, the
+conditional-score projection identity, and a mixed-partial independence probe.
 
 Every Monte Carlo mean (entropy, Fisher information, score cross term and
 total correlation) is formed by :func:`_mc_estimate`, with a stderr from the
@@ -30,6 +30,7 @@ sample variance.  Results are accepted statistically (z-scores), never with
 hidden absolute tolerances.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,11 +56,10 @@ class Estimate:
     """A value with its standard error, method tag and count.
 
     ``method`` is one of mc_logdensity, mc_score, mc_cross_term,
-    mc_total_correlation, quadrature_1d, quadrature_2d,
-    marginal_quadrature_1d, decomposed, knn, debruijn and closed_form.
-    ``count`` is the draws of a Monte Carlo estimate, the node count of a
-    quadrature rule, the sample size of a kNN estimate, and 0 for a closed
-    form or a decomposition that draws nothing.
+    mc_total_correlation, quadrature_1d, quadrature_2d, decomposed, knn,
+    debruijn and closed_form.  ``count`` is the draws of a Monte Carlo
+    estimate or a decomposition, the node count of a quadrature rule, the
+    sample size of a kNN estimate, and 0 for a closed form.
     """
 
     value: float
@@ -414,78 +414,78 @@ def projection_entropy(mix, directions):
     return _line_quadrature(_line_neg_f_log_f, mix, directions)
 
 
-def _marginal_sum(rule, marginals):
-    """The fsum of ``rule(m).value`` over ``marginals``, and their stderrs.
+def _structure_rule(mix, count, seed, line, grid, draw):
+    """One estimate per block of :func:`coordinate_marginals`, and their sum.
 
-    ``rule`` runs once per distinct marginal, which
-    :func:`coordinate_marginals` returns as one shared object.
-    """
-    distinct = {id(m): m for m in marginals}
-    done = {key: rule(m) for key, m in distinct.items()}
-    parts = [done[id(m)] for m in marginals]
-    return math.fsum(p.value for p in parts), [p.stderr for p in parts]
+    A 1-D block is ``line`` on its marginal, once per distinct marginal; a
+    2-D block is ``grid`` on its law if that converged; any other block is
+    ``draw(law, marginals, line, count, seed)``.  A one-block law is that
+    block at ``seed``; block j of a sum draws from stream -2 - j of ``seed``,
+    which no chunk (>= 0) and no caller's stream -1 meets."""
+    count = _checked_count(count)
+    marginals, blocks = coordinate_marginals(mix)
+    once = functools.cache(line)
+    parts, draws = [], 0
+    for j, block in enumerate(blocks):
+        if len(block) == 1:
+            parts.append(once(marginals[block[0]]))
+            continue
+        law = mix if len(blocks) == 1 else push_forward_linear(mix, np.eye(mix.dim)[list(block)])
+        est = grid(law) if len(block) == 2 else None
+        if est is None or est.stderr > _CONVERGED * (1.0 + abs(est.value)):
+            block_seed = seed if len(blocks) == 1 else split_seed(seed, -2 - j)
+            est = draw(law, [marginals[i] for i in block], once, count, block_seed)
+            draws += est.count
+        parts.append(est)
+    if len(parts) == 1:
+        return parts[0]
+    value = math.fsum(p.value for p in parts)
+    stderr = floored_stderr(math.hypot(*(p.stderr for p in parts)), value)
+    return Estimate(value, stderr, "decomposed", draws)
 
 
-def _converged_grid(rule, mix):
-    # ``rule(mix)`` for a 2-D law when its grid converged, else None; the
-    # stderr of a quadrature is its last convergence difference, or inf
-    if mix.dim != 2:
-        return None
-    whole = rule(mix)
-    return whole if whole.stderr <= _CONVERGED * (1.0 + abs(whole.value)) else None
+def _entropy_draw(law, marginals, line, count, seed):
+    # h = sum_i h(X_i) - TC, the total correlation TC drawn: the mean of its pointwise form
+    def pointwise(x):
+        out = law.log_density(x)
+        for i, marginal in enumerate(marginals):
+            out -= marginal.log_density(x[:, i : i + 1])
+        return out
+
+    tc = _mc_estimate(
+        law, count, seed, pointwise, "mc_total_correlation", NonFiniteLogDensityError, "log-density"
+    )
+    parts = [line(m) for m in marginals]
+    value = math.fsum(p.value for p in parts) - tc.value
+    stderr = math.hypot(tc.stderr, *(p.stderr for p in parts))
+    return Estimate(value, floored_stderr(stderr, value), "decomposed", tc.count)
 
 
 def entropy_decomposed(mix, count, seed):
     """Entropy of a mixture by the structure rule, drawing only where it must.
 
-    A product of its :func:`coordinate_marginals` has ``h(X) = sum_i h(X_i)``
-    by :func:`entropy_quadrature_1d` (``count`` 0).  Another 2-D law is
-    :func:`entropy_quadrature_2d` when its grid converged.  Otherwise
-    ``h(X) = sum_i h(X_i) - TC(X)``, with the total correlation
-    ``TC(X) = E[log f(X) - sum_i log f_i(X_i)]`` (Watanabe 1960) the Monte
-    Carlo mean over ``count`` draws of X.  The stderr combines the TC and
-    quadrature stderrs, floored at the rounding level.
+    ``h(X) = sum_B h(X_B)`` over the blocks B of :func:`coordinate_marginals`:
+    :func:`entropy_quadrature_1d` or :func:`entropy_quadrature_2d` for a 1-D
+    block or a converged 2-D one, else ``sum_i h(X_i) - TC(X_B)``, the total
+    correlation ``TC = E[log f(X_B) - sum_i log f_i(X_i)]`` (Watanabe 1960)
+    drawn ``count`` times.  A sum of blocks is ``decomposed``; its ``count``
+    is its draws, its stderr the combined one.
     """
-    count = _checked_count(count)
-    marginals, product = coordinate_marginals(mix)
-    whole = None if product else _converged_grid(entropy_quadrature_2d, mix)
-    if whole is not None:
-        return whole
-    total, stderrs = _marginal_sum(entropy_quadrature_1d, marginals)
-    if product:
-        tc = Estimate(0.0, 0.0, "closed_form", 0)
-    else:
-        def dependence(x):
-            out = mix.log_density(x)
-            for i, marginal in enumerate(marginals):
-                out -= marginal.log_density(x[:, i : i + 1])
-            return out
-
-        tc = _mc_estimate(
-            mix, count, seed, dependence,
-            "mc_total_correlation", NonFiniteLogDensityError, "log-density",
-        )
-    value = total - tc.value
-    stderr = math.hypot(tc.stderr, *stderrs)
-    return Estimate(value, floored_stderr(stderr, value), "decomposed", tc.count)
+    rules = entropy_quadrature_1d, entropy_quadrature_2d
+    return _structure_rule(mix, count, seed, *rules, _entropy_draw)
 
 
 def fisher_decomposed(mix, count, seed):
     """Trace Fisher information of a mixture by the rule of :func:`entropy_decomposed`.
 
-    A product law's I(X) is the sum of its coordinates' (Stam 1959) by
-    :func:`fisher_quadrature` (``marginal_quadrature_1d``, ``count`` 0);
-    another 2-D law is :func:`fisher_quadrature` when its grid converged;
-    any other law is :func:`fisher_mc` over ``count`` draws.
+    ``I(X) = sum_B I(X_B)`` (Stam 1959) over the same blocks:
+    :func:`fisher_quadrature` for a 1-D block and for a 2-D block whose
+    grid converged, and :func:`fisher_mc` over ``count`` draws for any other.
     """
-    count = _checked_count(count)
-    marginals, product = coordinate_marginals(mix)
-    if product:
-        value, stderrs = _marginal_sum(fisher_quadrature, marginals)
-        stderr = floored_stderr(math.hypot(*stderrs), value)
-        return Estimate(value, stderr, "marginal_quadrature_1d", 0)
-    whole = _converged_grid(fisher_quadrature, mix)
-    return fisher_mc(mix, count, seed) if whole is None else whole
+    return _structure_rule(
+        mix, count, seed, fisher_quadrature, fisher_quadrature,
+        lambda law, marginals, line, count, seed: fisher_mc(law, count, seed),
+    )
 
 
 # --- nearest-neighbor entropy ---------------------------------------------

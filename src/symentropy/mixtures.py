@@ -50,6 +50,7 @@ MAX_DIM = (256 << 20) // (8 * CHUNK_SIZE)
 _EIG_FLOOR = 1e-12
 _MERGE_DECIMALS = 12
 _SYMMETRIZE_MAX_DIM = 12
+_SPLIT_MAX_DIM = 12  # largest law that coordinate_marginals splits into blocks
 _RANK_TOL = 1e-10
 # Multiply-adds in one matrix product of the mixture kernel, which
 # works through its points in row blocks of at most this size.  A block's
@@ -481,21 +482,23 @@ def symmetrize(mix):
 
 
 def coordinate_marginals(mix):
-    """The n 1-D coordinate marginals of a mixture, and whether it is their product.
+    """The n 1-D coordinate marginals of a mixture, and its independent blocks.
 
     Marginal i has the components ``(w_k, mu_k[i], Sigma_k[i, i])``, those
     equal at the rounding :func:`symmetrize` merges by summed into one, in
-    ascending ``(mean, var)`` order.  The flag is True exactly when, at that
-    rounding, every covariance is diagonal, the distinct components are all
-    the combinations of marginal components, and each one's weight is the
-    product of its marginals' weights.  No sampling: one sort of the K
-    components per coordinate, one mixture per distinct marginal.
+    ascending ``(mean, var)`` order.  The blocks, mutually independent tuples
+    of coordinates, are singletons when every covariance is diagonal and the
+    weights over the marginals' components factorize, at that rounding.  Else,
+    for 3 <= n <= 12, each coordinate and then each pair independent (as in
+    :func:`check_independence`) of the coordinates still left splits off in
+    turn, and the rest is one block.  No sampling or density evaluation.
     """
+    n = mix.dim
     variances = np.diagonal(mix.covs, axis1=1, axis2=2)
     # (mean, var) as one complex key, which sorts by mean, then var
     keys = _rounded(np.stack([mix.means, variances], axis=2)).view(complex)[:, :, 0]
     marginals, labels, built = [], [], {}
-    for i in range(mix.dim):
+    for i in range(n):
         _, first, label = np.unique(keys[:, i], return_index=True, return_inverse=True)
         parts = np.bincount(label, weights=mix.weights), mix.means[first, i], variances[first, i]
         key = tuple(part.tobytes() for part in parts)
@@ -503,19 +506,41 @@ def coordinate_marginals(mix):
             built[key] = GaussianMixture(parts[0], parts[1][:, None], parts[2][:, None, None])
         marginals.append(built[key])
         labels.append(label)
-    size = math.prod(m.n_components for m in marginals)
-    covs = mix.covs[mix._order[[g.span.start for g in mix._groups]]]  # one per group
-    if size > mix.n_components or np.any(_rounded(covs - covs * np.eye(mix.dim))):
-        return marginals, False
-    # mixed-radix label codes, coordinate 0 most significant, and their product weights
-    codes, product_weights = 0, np.ones(1)
-    for label, m in zip(labels, marginals):
-        codes = codes * m.n_components + label
-        product_weights = np.outer(product_weights, m.weights).ravel()
-    if not np.bincount(codes, minlength=size).all():  # a combination is missing
-        return marginals, False
-    joint_weights = np.bincount(codes, weights=mix.weights)
-    return marginals, not np.any(_rounded(joint_weights - product_weights))
+    covs = _rounded(mix.covs[mix._order[[g.span.start for g in mix._groups]]])  # one per group
+    if not np.any(covs - covs * np.eye(n)) and _factorizes(labels, mix.weights):
+        return marginals, tuple((i,) for i in range(n))
+    if not 3 <= n <= _SPLIT_MAX_DIM:
+        return marginals, (tuple(range(n)),)
+    blocks, left = [], list(range(n))
+    for part in [[i] for i in range(n)] + list(map(list, itertools.combinations(range(n), 2))):
+        rest = [c for c in left if c not in part]
+        apart = len(rest) == len(left) - len(part) > 0 and not np.any(covs[:, part][:, :, rest])
+        if apart and _factorizes([_atoms(mix, part), _atoms(mix, rest)], mix.weights):
+            blocks.append(tuple(part))
+            left = rest
+    return marginals, (*blocks, tuple(left))
+
+
+def _factorizes(labels, weights):
+    """Whether every combination of atoms, one per array of ``labels`` (each
+    component's atom label 0..A-1 in a part), is some component's, and each
+    one's summed weight is the product of its atoms' at :func:`_rounded`."""
+    margins = [np.bincount(label, weights=weights) for label in labels]
+    size = math.prod(len(m) for m in margins)
+    if size > len(weights):  # a combination is missing
+        return False
+    codes, product = 0, np.ones(1)
+    for label, margin in zip(labels, margins):
+        codes = codes * len(margin) + label
+        product = np.outer(product, margin).ravel()
+    joint = np.bincount(codes, weights=weights, minlength=size)  # weights are > 0
+    return bool(joint.all()) and not np.any(_rounded(joint - product))
+
+
+def _atoms(mix, coords):
+    # each component's label 0..A-1 of its rounded (mu, Sigma) on ``coords``
+    inner = mix.covs[:, coords][:, :, coords].reshape(mix.n_components, -1)
+    return _label_rows(_rounded(np.column_stack([mix.means[:, coords], inner])))[2]
 
 
 def _label_rows(table):
@@ -576,14 +601,10 @@ def check_symmetry(mix):
 
 
 def _weight_residual(a, b, weights):
-    """Largest rounded ``|W - outer(p, q)|`` of the table ``W[a, b]``.
-
-    ``W[a, b]`` sums the weights of the components labelled ``(a, b)``, and
-    ``p``, ``q`` are its row and column sums.  The table is built a block of
-    rows at a time, so its memory stays bounded however many atoms there are.
-    """
-    p = np.bincount(a, weights=weights)
-    q = np.bincount(b, weights=weights)
+    """Largest rounded ``|W - outer(p, q)|`` of the table ``W[a, b]`` of summed
+    component weights and its margins ``p``, ``q``.  The table is built a block
+    of rows at a time, so its memory stays bounded however many atoms there are."""
+    p, q = np.bincount(a, weights=weights), np.bincount(b, weights=weights)
     step = max(1, _BLOCK_MADDS // len(q))
     worst = 0.0
     for start in range(0, len(p), step):
@@ -597,46 +618,32 @@ def _weight_residual(a, b, weights):
 def check_independence(mix, i):
     """Decide whether coordinate i of a mixture is independent of the others.
 
-    With ``Z = X_i`` and ``Z_rest`` the other coordinates, a component's
-    atoms are its rounded ``(mu_i, Sigma_ii)`` and ``(mu_rest,
-    Sigma_rest,rest)``.  The verdict is True exactly when, at
-    :func:`_rounded`, every component has a zero cross-covariance block
-    ``Sigma[i, rest]``, every (Z_i atom, Z_rest atom) pair is some
-    component's, and the weight table ``W`` over these pairs is the outer
-    product of its margins.
-
-    This is exact.  An independent law is the product of its two marginal
-    mixtures, ``sum_ab p_a q_b N_a (x) N_b``, whose components all have a
-    zero cross block and product weights.  Finite Gaussian mixtures are
-    identifiable (Teicher 1963), so the law's own components, merged where
-    equal, are exactly these, and the check passes.  Conversely, when it
+    The verdict is True exactly when, at :func:`_rounded`, every component
+    has a zero cross-covariance block ``Sigma[i, rest]`` and the weights over
+    the components' :func:`_atoms` on ``{i}`` and on the rest factorize
+    (:func:`_factorizes`): a missing pair fails even when its product weight
+    rounds to 0.  This is exact.  An independent law is the product of its
+    two marginal mixtures, ``sum_ab p_a q_b N_a (x) N_b``, whose components
+    all have a zero cross block and product weights.  Finite Gaussian
+    mixtures are identifiable (Teicher 1963), so the law's own components,
+    merged where equal, are exactly these.  Conversely, when the check
     passes, every component is ``N_a (x) N_b`` with weight ``p_a q_b``, and
-    the sum factors.  A missing pair fails the check even when its product
-    weight rounds to 0, as :func:`coordinate_marginals` fails such a law.  No
-    sampling and no density evaluation.
+    the sum factors.  No sampling and no density evaluation.
     """
     n = mix.dim
     i = int(i)
     if not 0 <= i < n:
         raise IndexOutOfRangeError(f"i: need 0 <= i < {n} (got {i})")
     rest = np.delete(np.arange(n), i)
-    cross = _rounded(mix.covs[:, i, rest])
-    _, _, a = _label_rows(_rounded(np.column_stack([mix.means[:, i], mix.covs[:, i, i]])))
-    if rest.size:
-        inner = mix.covs[:, rest][:, :, rest].reshape(mix.n_components, -1)
-        _, _, b = _label_rows(_rounded(np.column_stack([mix.means[:, rest], inner])))
-    else:  # Z_rest is empty: one atom
-        b = np.zeros_like(a)
-    max_cross = float(np.abs(cross).max(initial=0.0))
-    residual = _weight_residual(a, b, mix.weights)
-    atoms = (int(a.max()) + 1, int(b.max()) + 1)
-    every_pair = np.unique(a * atoms[1] + b).size == atoms[0] * atoms[1]
+    a = _atoms(mix, [i])
+    b = _atoms(mix, rest) if rest.size else np.zeros_like(a)  # an empty Z_rest: one atom
+    max_cross = float(np.abs(_rounded(mix.covs[:, i, rest])).max(initial=0.0))
     return IndependenceReport(
-        verdict=max_cross == 0.0 and residual == 0.0 and every_pair,
+        verdict=max_cross == 0.0 and _factorizes([a, b], mix.weights),
         coordinate=i,
         max_cross_covariance=max_cross,
-        max_weight_residual=residual,
-        atoms=atoms,
+        max_weight_residual=_weight_residual(a, b, mix.weights),
+        atoms=(int(a.max()) + 1, int(b.max()) + 1),
     )
 
 

@@ -431,6 +431,14 @@ class TestProbeCommand:
         assert len(payload["independence_failures"]) >= 1
         assert payload["main"]["verdict"] == "holds"
 
+    def test_dimension_above_64_exits_two(self, tmp_path, capsys):
+        status, text = invoke(tmp_path, "probe", "--law", "builtin:gaussian-iid-n65")
+        assert (status, text) == (2, None)
+        assert "probe needs 3 <= n <= 64 (got 65)" in capsys.readouterr().err
+        status, text = invoke(tmp_path, "probe", "--law", "builtin:gaussian-iid-n64")
+        assert status == 0
+        assert json.loads(text)["independence_failures"] == []
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -477,7 +485,9 @@ class TestDebruijnCommand:
         )
         assert status == 0
         payload = json.loads(text)
-        assert payload["reference"]["method"] == "decomposed"
+        # a 1-D law is one block: its reference is its own line rule
+        assert payload["reference"]["method"] == "quadrature_1d"
+        assert payload["reference"]["count"] == 257
         assert payload["z"] <= 3.0
 
     def test_far_narrow_reference_exits_one(self, tmp_path):
@@ -547,11 +557,11 @@ class TestDebruijnCommand:
         assert math.isnan(payload["z"])
 
     def test_drawn_reference_shares_no_stream_with_the_nodes(self, tmp_path, monkeypatch):
-        # a non-product law with n >= 3 draws its total correlation, from
-        # streams that no de Bruijn node draws from
-        cov = [[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]]
-        law = se.symmetrize(se.make_gaussian_mixture([(1.0, [1.0, 0.5, 0.0], cov)]))
-        assert not se.coordinate_marginals(law)[1]
+        # a law with n >= 3 that is one block draws its total correlation,
+        # from streams that no de Bruijn node draws from
+        cov = [[1.0, 0.3, 0.2], [0.3, 1.0, 0.1], [0.2, 0.1, 1.0]]
+        law = se.symmetrize(se.make_gaussian_mixture([(1.0, [1.0, 0.5, 0.25], cov)]))
+        assert se.coordinate_marginals(law)[1] == ((0, 1, 2),)
         law_file = tmp_path / "correlated.json"
         law_file.write_text(se.mixture_to_json(law))
         drawn = {}

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import symentropy as se
 from symentropy import estimators
+from symentropy.mixtures import ROTATION_2D
 
 HALF_LOG_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 
@@ -18,6 +19,8 @@ def gaussian_entropy(n, var):
 ROTATED_BIMODAL_N3 = se.push_forward_linear(
     se.bimodal_product(3), se.sign_vertex_basis([1, 1, 1]).matrix.T
 )
+# two independent copies of rotated-bimodal, on coordinates (0, 1) and (2, 3)
+BLOCK_LAW = se.push_forward_linear(se.bimodal_product(4), np.kron(np.eye(2), ROTATION_2D))
 # a rotated i.i.d. pair whose narrow, distant components the 2-D grid cannot resolve
 NARROW_ROTATED = se.rotated_iid_construction(
     se.make_gaussian_mixture([(0.5, [s], [[0.001]]) for s in (30.0, -30.0)])
@@ -232,9 +235,12 @@ class TestEntropyDecomposed:
     def test_product_laws_are_sums_of_marginal_quadratures(self, law):
         est = se.entropy_decomposed(law, 1000, 0)
         marginals, _ = se.coordinate_marginals(law)
-        assert est.method == "decomposed"
-        assert est.count == 0
-        assert est.value == math.fsum(se.entropy_quadrature_1d(m).value for m in marginals)
+        parts = [se.entropy_quadrature_1d(m) for m in marginals]
+        assert est.value == math.fsum(p.value for p in parts)
+        if law.dim == 1:  # one block, whose estimate is the line rule's own
+            assert est == parts[0]
+        else:
+            assert (est.method, est.count) == ("decomposed", 0)
 
     def test_equal_marginals_are_integrated_once(self, monkeypatch):
         law = se.bimodal_product(8)
@@ -257,8 +263,8 @@ class TestEntropyDecomposed:
         law = se.make_gaussian_mixture(
             [(0.5, [s, 0.0], np.diag([1.0, 2.0])) for s in (-1.0, 1.0)]
         )
-        marginals, product = se.coordinate_marginals(law)
-        assert product
+        marginals, blocks = se.coordinate_marginals(law)
+        assert blocks == ((0,), (1,))
         calls = []
         rule = estimators.entropy_quadrature_1d
 
@@ -285,8 +291,6 @@ class TestEntropyDecomposed:
         assert abs(estimate - truth) <= 3 * stderr
 
     def test_rotated_bimodal_exact_in_its_rotation(self):
-        from symentropy.mixtures import ROTATION_2D
-
         z_law = se.push_forward_linear(se.rotated_bimodal(), ROTATION_2D.T)
         est = se.entropy_decomposed(z_law, 1000, 0)
         assert est.count == 0
@@ -310,6 +314,45 @@ class TestEntropyDecomposed:
         assert (est.method, est.count) == ("decomposed", 20000)
         assert abs(est.value - truth) <= 4 * est.stderr
         assert se.fisher_decomposed(NARROW_ROTATED, 2000, 3).method == "mc_score"
+
+    def test_independent_pairs_are_two_2d_rules(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a law of 1-D and 2-D blocks draws nothing")
+
+        monkeypatch.setattr(estimators, "_mc_estimate", forbidden)
+        pair = se.rotated_bimodal()
+        est = se.entropy_decomposed(BLOCK_LAW, 1000, 0)
+        assert (est.method, est.count) == ("decomposed", 0)
+        assert est.value == pytest.approx(2 * se.entropy_quadrature_2d(pair).value, abs=1e-12)
+        assert est.stderr <= 1e-11
+        fisher = se.fisher_decomposed(BLOCK_LAW, 1000, 0)
+        assert fisher.value == pytest.approx(2 * se.fisher_quadrature(pair).value, abs=1e-12)
+
+    def test_independent_coordinate_and_pair_sum_their_rules(self, monkeypatch):
+        # rotated-bimodal on coordinates 0 and 1, bimodal on coordinate 2
+        law = se.push_forward_linear(
+            se.bimodal_product(3), np.block([[ROTATION_2D, np.zeros((2, 1))], [0.0, 0.0, 1.0]])
+        )
+        assert se.coordinate_marginals(law)[1] == ((2,), (0, 1))
+        est = se.entropy_decomposed(law, 1000, 0)
+        pair = se.entropy_quadrature_2d(se.rotated_bimodal()).value
+        single = se.entropy_quadrature_1d(se.bimodal_1d()).value
+        assert (est.method, est.count) == ("decomposed", 0)
+        assert est.value == pytest.approx(pair + single, abs=1e-12)
+
+    def test_dependent_block_beside_an_independent_coordinate_draws(self):
+        # a bimodal coordinate 0 beside ROTATED_BIMODAL_N3 on coordinates 1-3;
+        # only the 3-D block draws, and h(X) is 4 h(bimodal)
+        rotation = se.sign_vertex_basis([1, 1, 1]).matrix.T
+        law = se.push_forward_linear(
+            se.bimodal_product(4), np.block([[1.0, np.zeros((1, 3))], [np.zeros((3, 1)), rotation]])
+        )
+        assert se.coordinate_marginals(law)[1] == ((0,), (1, 2, 3))
+        est = se.entropy_decomposed(law, 20000, 3)
+        assert (est.method, est.count) == ("decomposed", 20000)
+        base = se.entropy_quadrature_1d(se.bimodal_1d()).value
+        assert abs(est.value - 4 * base) <= 4 * est.stderr
+        assert se.fisher_decomposed(law, 2000, 3).count == 2000
 
     def test_total_correlation_coverage(self):
         # h of the unit-variance trivariate normal with correlations 0.5, 0.25, 0.5
@@ -865,8 +908,6 @@ class TestMixedPartial:
         assert report.max_abs == pytest.approx(0.9 / 0.19, rel=1e-3)
 
     def test_rotated_bimodal_in_unrotated_coordinates(self):
-        from symentropy.mixtures import ROTATION_2D
-
         law = se.push_forward_linear(se.rotated_bimodal(), ROTATION_2D.T)
         report = se.mixed_partial_independence(law, 0)
         assert report.verdict

@@ -7,6 +7,7 @@ import pytest
 import symentropy as se
 from symentropy import estimators, harness
 from symentropy.harness import HOLDS, HOLDS_WITH_EQUALITY, VIOLATED
+from symentropy.mixtures import ROTATION_2D
 
 BUDGET = se.Budget(samples=100000, seed=0)
 
@@ -163,6 +164,18 @@ class TestVerifyKdim:
         assert abs(kdim.gap - main.gap) <= 1e-10
         assert kdim.verdict == HOLDS
 
+    def test_independent_rotated_pairs_are_an_exact_equality_case(self):
+        # two independent rotated-bimodal pairs, summed pair by pair: h(AX) is
+        # h(X) / 2 exactly, from 2-D rules alone
+        law = se.push_forward_linear(se.bimodal_product(4), np.kron(np.eye(2), ROTATION_2D))
+        a = np.kron(np.eye(2), np.ones((1, 2))) / math.sqrt(2.0)
+        report = se.verify_kdim(law, a, BUDGET)
+        assert report.verdict == HOLDS_WITH_EQUALITY
+        assert abs(report.gap) <= 1e-13
+        assert report.sigma < 1e-11
+        hadamard = se.verify_kdim(law, se.balanced_projection(2, 4, "hadamard"), BUDGET)
+        assert hadamard.verdict == HOLDS
+
     def test_rejects_unbalanced(self):
         with pytest.raises(se.NotBalancedError):
             se.verify_kdim(se.gaussian_iid(4), np.eye(4)[:2], BUDGET)
@@ -219,8 +232,8 @@ class TestVerifyFisherLemma:
     @pytest.mark.parametrize(
         "law, method",
         [
-            (se.bimodal_product(3), "marginal_quadrature_1d"),
-            (se.gaussian_iid(1), "marginal_quadrature_1d"),
+            (se.bimodal_product(3), "decomposed"),
+            (se.gaussian_iid(1), "quadrature_1d"),
             (se.rotated_bimodal(), "quadrature_2d"),
         ],
     )
@@ -232,7 +245,7 @@ class TestVerifyFisherLemma:
     def test_non_product_3d_law_falls_back_to_monte_carlo(self, monkeypatch):
         # a symmetric scale mixture: its coordinates are dependent
         law = se.make_gaussian_mixture([(0.5, np.zeros(3), np.eye(3)), (0.5, np.zeros(3), 4 * np.eye(3))])
-        assert not se.coordinate_marginals(law)[1]
+        assert se.coordinate_marginals(law)[1] == ((0, 1, 2),)
         calls = []
         fisher_mc = estimators.fisher_mc
 
@@ -358,6 +371,8 @@ class TestGaussianityProbe:
     def test_dimension_guard(self):
         with pytest.raises(se.DimensionTooSmallError):
             se.gaussianity_probe(se.rotated_bimodal(), BUDGET)
+        with pytest.raises(se.DimensionTooLargeError, match="n <= 64"):
+            se.gaussianity_probe(se.gaussian_iid(65), BUDGET)
 
 
 class TestDirectionScan:

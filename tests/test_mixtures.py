@@ -400,8 +400,8 @@ class TestCoordinateMarginals:
     )
     def test_builtin_products_factorise(self, name):
         law = se.builtin_law(name)
-        marginals, product = se.coordinate_marginals(law)
-        assert product
+        marginals, blocks = se.coordinate_marginals(law)
+        assert blocks == tuple((i,) for i in range(law.dim))
         assert len(marginals) == law.dim
         assert all(m.dim == 1 for m in marginals)
 
@@ -415,28 +415,61 @@ class TestCoordinateMarginals:
 
     def test_rotated_bimodal_factorises_in_its_rotation(self):
         z_law = se.push_forward_linear(se.rotated_bimodal(), ROTATION_2D.T)
-        marginals, product = se.coordinate_marginals(z_law)
-        assert product
+        marginals, blocks = se.coordinate_marginals(z_law)
+        assert blocks == ((0,), (1,))
         assert [m.n_components for m in marginals] == [2, 2]
 
     def test_rotated_bimodal_does_not_factorise_in_identity(self):
-        assert not se.coordinate_marginals(se.rotated_bimodal())[1]
+        assert se.coordinate_marginals(se.rotated_bimodal())[1] == ((0, 1),)
 
     def test_correlated_gaussian_does_not_factorise(self):
-        assert not se.coordinate_marginals(se.correlated_gaussian(0.5))[1]
+        assert se.coordinate_marginals(se.correlated_gaussian(0.5))[1] == ((0, 1),)
 
     def test_moved_weight_breaks_product(self):
         components = se.bimodal_product(3).components
         w, mean, cov = components[0]
         components[0] = (w + 1e-6, mean, cov)
-        assert not se.coordinate_marginals(se.make_gaussian_mixture(components))[1]
+        # no coordinate and no pair is independent of the rest any more
+        law = se.make_gaussian_mixture(components)
+        assert se.coordinate_marginals(law)[1] == ((0, 1, 2),)
 
     def test_missing_combination_breaks_product(self):
         # diagonal covariances, but only 2 of the 4 combinations of marginal means
         law = se.make_gaussian_mixture(
             [(0.5, [-2.0, -2.0], np.eye(2)), (0.5, [2.0, 2.0], np.eye(2))]
         )
-        assert not se.coordinate_marginals(law)[1]
+        assert se.coordinate_marginals(law)[1] == ((0, 1),)
+
+    def test_independent_rotated_pairs_split_into_pairs(self):
+        law = _product(se.rotated_bimodal(), se.rotated_bimodal())
+        assert se.coordinate_marginals(law)[1] == ((0, 1), (2, 3))
+
+    def test_independent_coordinate_splits_off_before_its_pair(self):
+        # rotated-bimodal on coordinates 0 and 1, an independent bimodal coordinate 2
+        law = _product(se.rotated_bimodal(), se.bimodal_1d())
+        assert se.coordinate_marginals(law)[1] == ((2,), (0, 1))
+
+    def test_pairwise_independent_xor_law_stays_one_block(self):
+        # every pair of coordinates is independent, but the three are not
+        law = se.make_gaussian_mixture(
+            [(0.25, [2 * s, 2 * t, 2 * s * t], np.eye(3)) for s in (-1, 1) for t in (-1, 1)]
+        )
+        assert not any(se.check_independence(law, i).verdict for i in range(3))
+        assert se.coordinate_marginals(law)[1] == ((0, 1, 2),)
+
+    def test_split_runs_only_up_to_twelve_dimensions(self):
+        # a scale mixture: dependent coordinates, and at n = 512 no split is tried
+        law = se.make_gaussian_mixture(
+            [(0.5, np.zeros(512), np.eye(512)), (0.5, np.zeros(512), 4 * np.eye(512))]
+        )
+        assert se.coordinate_marginals(law)[1] == (tuple(range(512)),)
+
+    def test_blocks_split_as_far_as_twelve_dimensions(self):
+        # a pair of rotated coordinates beside independent ones, up to n = 12
+        for n in (3, 12):
+            law = _product(se.rotated_bimodal(), se.gaussian_iid(n - 2))
+            expected = tuple((i,) for i in range(2, n)) + ((0, 1),)
+            assert se.coordinate_marginals(law)[1] == expected
 
     def test_marginal_densities_match_projections(self):
         law = se.symmetrize(se.rotated_bimodal())

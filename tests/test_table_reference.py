@@ -227,9 +227,9 @@ def _same_arrays(a, b):
 
 def test_coordinate_marginals_match_reference():
     for name, law in LAWS.items():
-        marginals, product = se.coordinate_marginals(law)
+        marginals, blocks = se.coordinate_marginals(law)
         want, want_product = reference_coordinate_marginals(law)
-        assert product == want_product, name
+        assert (blocks == tuple((i,) for i in range(law.dim))) == want_product, name
         assert len(marginals) == len(want), name
         for got, ref in zip(marginals, want):
             for field in ("weights", "means", "covs"):
@@ -242,7 +242,14 @@ def test_products_and_non_products_are_both_covered():
 
 
 def test_missing_combination_of_negligible_weight_breaks_product():
-    assert not se.coordinate_marginals(NEGLIGIBLE_MISSING_COMBINATION)[1]
+    assert se.coordinate_marginals(NEGLIGIBLE_MISSING_COMBINATION)[1] == ((0, 1),)
+
+
+def test_symmetrized_laws_stay_one_block():
+    # generic covariances: every cross-covariance is nonzero
+    for seed in range(60):
+        law = LAWS[f"symmetrized-{seed}"]
+        assert se.coordinate_marginals(law)[1] == (tuple(range(law.dim)),), seed
 
 
 @pytest.mark.parametrize("i", [0, 1])

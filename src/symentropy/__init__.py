@@ -82,7 +82,7 @@ from .harness import (
     verify_kdim,
     verify_main,
 )
-from .heat_flow import FisherPath, entropy_via_debruijn, fisher_path
+from .heat_flow import entropy_via_debruijn
 from .mixtures import (
     GaussianMixture,
     IndependenceReport,

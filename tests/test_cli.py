@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 import symentropy as se
-from symentropy import cli, estimators, harness
-from symentropy.streams import CHUNK_SIZE, split_seed
+from symentropy import cli, harness
 from symentropy.cli import ConfigError, RunConfig, main, run
 
 
@@ -556,7 +555,7 @@ class TestDebruijnCommand:
         assert payload["reference"]["stderr"] == math.inf
         assert math.isnan(payload["z"])
 
-    def test_drawn_reference_shares_no_stream_with_the_nodes(self, tmp_path, monkeypatch):
+    def test_drawn_reference_shares_no_stream_with_the_nodes(self, tmp_path, stream_audit):
         # a law with n >= 3 that is one block draws its total correlation,
         # from streams that no de Bruijn node draws from
         cov = [[1.0, 0.3, 0.2], [0.3, 1.0, 0.1], [0.2, 0.1, 1.0]]
@@ -564,23 +563,14 @@ class TestDebruijnCommand:
         assert se.coordinate_marginals(law)[1] == ((0, 1, 2),)
         law_file = tmp_path / "correlated.json"
         law_file.write_text(se.mixture_to_json(law))
-        drawn = {}
-        mc_estimate = estimators._mc_estimate
-
-        def spy(law, count, seed, statistic, method, *rest):
-            # the stream of each chunk the estimate draws, by method
-            chunks = {split_seed(seed, i) for i in range(-(-count // CHUNK_SIZE))}
-            drawn.setdefault(method, set()).update(chunks)
-            return mc_estimate(law, count, seed, statistic, method, *rest)
-
-        monkeypatch.setattr(estimators, "_mc_estimate", spy)
         status, text = invoke(
             tmp_path, "debruijn", "--law", str(law_file), "--samples", "200", "--nodes", "16"
         )
         assert status in (0, 1)
         assert json.loads(text)["reference"]["count"] == 200
-        assert drawn.keys() == {"mc_score", "mc_total_correlation"}
-        assert not drawn["mc_total_correlation"] & drawn["mc_score"]
+        assert {call[0] for call in stream_audit.calls} == {"mc_score", "mc_total_correlation"}
+        nodes = set(stream_audit.streams("mc_score"))
+        assert not set(stream_audit.streams("mc_total_correlation")) & nodes
 
 
 class TestCalibrateCommand:

@@ -49,14 +49,6 @@ class BalancedProjection:
                 f"column-norm deviation {report.col_norm_dev:.3e}"
             )
 
-    @property
-    def rows(self):
-        return self.matrix.shape[0]
-
-    @property
-    def cols(self):
-        return self.matrix.shape[1]
-
 
 @dataclass(frozen=True)
 class BalanceReport:

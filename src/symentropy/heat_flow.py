@@ -36,7 +36,7 @@ def _pool(a, b):
     n = a.count + b.count
     value = (a.count * a.value + b.count * b.value) / n
     stderr = math.sqrt((a.count * a.stderr) ** 2 + (b.count * b.stderr) ** 2) / n
-    return value, stderr
+    return Estimate(value, stderr, a.method, n)
 
 
 def _debruijn_sum(mix, nodes, count, seed):
@@ -49,6 +49,7 @@ def _debruijn_sum(mix, nodes, count, seed):
     pilot is the whole budget up to 4 * _MIN_NODE_COUNT draws, and never
     more than one chunk: node j's pilot is chunk 0 of stream j, and its
     main pass draws from stream 100_000 + j, so no chunk stream is drawn twice.
+    Returns the value, its Monte Carlo stderr and the draws made.
     """
     n = mix.dim
     u, w = _gl_unit_interval(nodes)
@@ -60,7 +61,7 @@ def _debruijn_sum(mix, nodes, count, seed):
     if count > 4 * _MIN_NODE_COUNT:
         pilot_count = min(CHUNK_SIZE, max(_MIN_NODE_COUNT, count // _PILOT_FRACTION))
     pilots = [fisher_mc(law, pilot_count, split_seed(seed, j)) for j, law in enumerate(laws)]
-    values = [(fe.value, fe.stderr) for fe in pilots]
+    estimates = pilots
     if pilot_count < count:
         weight = jac * np.array([fe.stderr for fe in pilots]) * math.sqrt(pilot_count)
         remaining = nodes * (count - pilot_count)
@@ -70,19 +71,18 @@ def _debruijn_sum(mix, nodes, count, seed):
             alloc = np.maximum(
                 _MIN_NODE_COUNT, (remaining * weight / weight.sum()).astype(int)
             )
-        values = [
+        estimates = [
             _pool(pilots[j], fisher_mc(laws[j], int(alloc[j]), split_seed(seed, 100_000 + j)))
             for j in range(nodes)
         ]
 
     total = 0.0
     var = 0.0
-    for j in range(nodes):
-        value_j, stderr_j = values[j]
-        total += jac[j] * (value_j - n / (1.0 + t[j]))
-        var += (jac[j] * stderr_j) ** 2
+    for j, fe in enumerate(estimates):
+        total += jac[j] * (fe.value - n / (1.0 + t[j]))
+        var += (jac[j] * fe.stderr) ** 2
     value = 0.5 * n * _LOG_2PIE - 0.5 * total
-    return value, 0.5 * math.sqrt(var)
+    return value, 0.5 * math.sqrt(var), sum(fe.count for fe in estimates)
 
 
 def entropy_via_debruijn(mix, nodes=48, count=20000, seed=0):
@@ -96,14 +96,16 @@ def entropy_via_debruijn(mix, nodes=48, count=20000, seed=0):
     half-resolution evaluation, which equals the result of calling this
     function at max(16, nodes // 2) nodes on the same seed.  At 16 nodes
     that is the same sum, so the half-resolution term is absent there.
+    Its ``count`` is every draw made by the ``fisher_mc`` calls of both sums.
     """
     nodes = int(nodes)
     if nodes < 16:
         raise ValueError(f"nodes: must be >= 16 (got {nodes})")
     count = int(count)
-    value, stderr = _debruijn_sum(mix, nodes, count, seed)
+    value, stderr, draws = _debruijn_sum(mix, nodes, count, seed)
     half = max(16, nodes // 2)
     if half < nodes:
-        value_half, _ = _debruijn_sum(mix, half, count, seed)
+        value_half, _, half_draws = _debruijn_sum(mix, half, count, seed)
         stderr = math.hypot(stderr, abs(value - value_half))
-    return Estimate(value, floored_stderr(stderr, value), "debruijn", nodes * count)
+        draws += half_draws
+    return Estimate(value, floored_stderr(stderr, value), "debruijn", draws)

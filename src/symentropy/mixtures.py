@@ -8,8 +8,8 @@ many threads; sampling takes an explicit seed.
 
 Densities, scores and samples come from one vectorised kernel over the
 groups of components that share a covariance: per group, a
-(components x dim) @ (dim x points) product on whitened coordinates
-cached at construction, then one reduction over all components with
+(components x dim) @ (dim x points) product on whitened coordinates, from
+tables built on first use, then one reduction over all components with
 whole-row vector operations, taken over blocks of points small enough to
 stay in cache and on the calling thread.  Every builtin law and every law
 derived from one by :func:`push_forward_linear`,
@@ -20,6 +20,7 @@ covariances that differ, even in the last bit, make more groups.
 All log-densities and entropies are in nats.
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -75,8 +76,10 @@ class GaussianMixture:
     Use :func:`make_gaussian_mixture` to build one from ``(weight, mean,
     cov)`` triples with full validation.
 
-    Components are grouped by bit-equal covariance ``L_g L_g^T``.  Each
-    group caches ``W_g = L_g^-1`` and the rows ``[M_k | const_k]`` of its
+    Components are grouped by bit-equal covariance ``L_g L_g^T``, and a
+    mixture is built with that grouping only.  The first ``log_density``,
+    ``score``, ``responsibilities`` or ``sample`` call builds, per group,
+    ``L_g``, ``W_g = L_g^-1`` and the rows ``[M_k | const_k]`` of its
     members: whitened means ``M_k = (mu_k - c) W_g^T`` about the weighted
     mean ``c`` of the whole mixture, which keeps the expansion accurate far
     from the origin, and ``const_k = log w_k - |M_k|^2 / 2 - log norm_g``.
@@ -103,12 +106,22 @@ class GaussianMixture:
         shared = {}
         for k, cov in enumerate(self.covs + 0.0):
             shared.setdefault(cov.tobytes(), []).append(k)
+        self._group_of = np.empty(self.n_components, dtype=np.intp)  # each component's group
+        for g, members in enumerate(shared.values()):
+            self._group_of[members] = g
+        self._heads = np.array([members[0] for members in shared.values()])  # each group's first
+        self._block_rows = max(
+            1, _BLOCK_MADDS // ((self.dim + 1) * max(self.dim, self.n_components))
+        )
+
+    @functools.cached_property
+    def _kernel(self):
+        # one _Group per covariance group; threads that race here build equal tables
+        order = np.argsort(self._group_of, kind="stable")  # the kernel's row order
         half_log_2pi = 0.5 * self.dim * np.log(2.0 * np.pi)
-        self._groups = []
-        self._group_of = np.empty(self.n_components, dtype=np.intp)
-        start = 0
-        for members in map(np.array, shared.values()):
-            self._group_of[members] = len(self._groups)
+        groups, start = [], 0
+        for stop in np.cumsum(np.bincount(self._group_of)).tolist():
+            members = order[start:stop]
             chol = np.linalg.cholesky(self.covs[members[0]])
             whiten = np.linalg.inv(chol)
             white_means = (self.means[members] - self._center) @ whiten.T
@@ -118,13 +131,9 @@ class GaussianMixture:
                 - (float(np.log(chol.diagonal()).sum()) + half_log_2pi)
             )
             terms = np.column_stack([white_means, consts])
-            span = slice(start, start + len(members))
-            start = span.stop
-            self._groups.append(_Group(span, chol, whiten, terms))
-        self._order = np.concatenate(list(shared.values()))
-        self._block_rows = max(
-            1, _BLOCK_MADDS // ((self.dim + 1) * max(self.dim, self.n_components))
-        )
+            groups.append(_Group(slice(start, stop), chol, whiten, terms))
+            start = stop
+        return groups
 
     @property
     def components(self):
@@ -154,6 +163,7 @@ class GaussianMixture:
         # another group's |yt|^2.  The arrays are buffers refilled per block,
         # so a caller may scale them in place.  A non-finite point gives NaN
         # for its own point only.
+        groups = self._kernel
         step = self._block_rows
         width = None
         for start in range(0, x.shape[0], step):
@@ -162,11 +172,11 @@ class GaussianMixture:
             if d.shape[1] != width:
                 width = d.shape[1]
                 p = np.empty((self.n_components, width))
-                p_groups = [p[g.span] for g in self._groups]
-                ys = np.ones((len(self._groups), self.dim + 1, width))
+                p_groups = [p[g.span] for g in groups]
+                ys = np.ones((len(groups), self.dim + 1, width))
                 yts = ys[:, : self.dim]
-                tops = np.empty((len(self._groups), width))
-            for g, p_g, y, top_g in zip(self._groups, p_groups, ys, tops):
+                tops = np.empty((len(groups), width))
+            for g, p_g, y, top_g in zip(groups, p_groups, ys, tops):
                 np.matmul(g.whiten, d, out=y[: self.dim])
                 np.matmul(g.terms, y, out=p_g)
                 p_g.max(axis=0, out=top_g)
@@ -192,21 +202,23 @@ class GaussianMixture:
     def responsibilities(self, x):
         """Posterior component weights ``P(component k | X = x)``, one row per point."""
         x, single = self._as_batch(x)
+        order = np.argsort(self._group_of, kind="stable")  # the kernel's row order
         resp = np.empty((x.shape[0], self.n_components))
         for rows, _, p, _ in self._blocks(x):
-            resp[rows, self._order] = (p / p.sum(axis=0)).T
+            resp[rows, order] = (p / p.sum(axis=0)).T
         return resp[0] if single else resp
 
     def score(self, x):
         """Gradient of the log-density, from posterior component weights."""
         # -sum_k r_k Sigma_k^-1 (x - mu_k) = sum_g ((M_g^T p_g) / s - (s_g / s) yt_g)^T W_g
         x, single = self._as_batch(x)
+        groups = self._kernel
         out = np.empty_like(x)
         for rows, yts, p, _ in self._blocks(x):
-            sums = [p[g.span].sum(axis=0) for g in self._groups]
+            sums = [p[g.span].sum(axis=0) for g in groups]
             total = sum(sums[1:], sums[0])
             parts = []
-            for g, s_g, yt in zip(self._groups, sums, yts):
+            for g, s_g, yt in zip(groups, sums, yts):
                 grad = g.terms[:, :-1].T @ p[g.span]
                 grad /= total
                 yt *= s_g / total
@@ -228,7 +240,7 @@ class GaussianMixture:
         comp = rng.choice(self.n_components, size=count, p=self.weights)
         z = rng.standard_normal((count, self.dim))
         out = self.means[comp]
-        first, *rest = self._groups
+        first, *rest = self._kernel
         step = max(1, _BLOCK_MADDS // (self.dim * self.dim))
         for start in range(0, count, step):
             rows = slice(start, start + step)
@@ -282,9 +294,9 @@ def make_gaussian_mixture(components):
     ``components`` is a nonempty list of ``(weight, mean, cov)``; scalars are
     accepted for 1-D laws.  Means and covariances must be finite.  Weights
     are normalized; covariances are forced symmetric and must have smallest
-    eigenvalue above 1e-12.  The dimension is at most :data:`MAX_DIM`.
-    Each rule is checked once over all components, and an error names the
-    first component that breaks it.
+    eigenvalue above 1e-12 and a Cholesky factor.  The dimension is at most
+    :data:`MAX_DIM`.  Each rule is checked once over all components, and an
+    error names the first component that breaks it.
     """
     if not components:
         raise EmptyMixtureError("mixture needs at least one component")
@@ -343,7 +355,8 @@ def _checked_mixture(weights, means, covs):
     The rules of :func:`make_gaussian_mixture` are each checked once over
     all components: positive finite weights with a finite sum, finite means
     and covariances, and covariances, forced symmetric, with smallest
-    eigenvalue above 1e-12, found once per distinct covariance.
+    eigenvalue above 1e-12 and a Cholesky factor, found once per distinct
+    covariance.  No other code accepts a covariance.
     """
     at = _first_fault(~(np.isfinite(weights) & (weights > 0.0)))
     if at is not None:
@@ -361,14 +374,14 @@ def _checked_mixture(weights, means, covs):
     at = _first_fault(~finite)
     if at is not None:
         raise InvalidComponentError(f"component {at[0]}: mean and covariance must be finite")
-    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
-    try:
-        mix = GaussianMixture(weights / total, means, covs)
-    except np.linalg.LinAlgError:  # a covariance without a Cholesky factor
-        _check_variance_floor(np.linalg.eigvalsh(covs)[:, 0])
-        raise
-    heads = mix.covs[mix._order[[g.span.start for g in mix._groups]]]  # one per group
+    mix = GaussianMixture(weights / total, means, 0.5 * (covs + covs.transpose(0, 2, 1)))
+    heads = mix.covs[mix._heads]  # one per distinct covariance
     _check_variance_floor(np.linalg.eigvalsh(heads)[:, 0][mix._group_of])
+    for k, cov in zip(mix._heads.tolist(), heads):  # eigvalsh may pass what cannot factor
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefiniteError(f"component {k}: cov has no Cholesky factor") from None
     return mix
 
 
@@ -428,10 +441,8 @@ def convolve_isotropic(mix, t):
     t = float(t)
     if t < 0.0:
         raise NegativeTimeError(f"t: must be >= 0 (got {t})")
-    if t == 0.0:
-        return GaussianMixture(mix.weights.copy(), mix.means.copy(), mix.covs.copy())
-    eye = t * np.eye(mix.dim)
-    return GaussianMixture(mix.weights.copy(), mix.means.copy(), mix.covs + eye)
+    covs = mix.covs + t * np.eye(mix.dim) if t != 0.0 else mix.covs.copy()
+    return GaussianMixture(mix.weights.copy(), mix.means.copy(), covs)
 
 
 def _rounded(a):
@@ -506,7 +517,7 @@ def coordinate_marginals(mix):
             built[key] = GaussianMixture(parts[0], parts[1][:, None], parts[2][:, None, None])
         marginals.append(built[key])
         labels.append(label)
-    covs = _rounded(mix.covs[mix._order[[g.span.start for g in mix._groups]]])  # one per group
+    covs = _rounded(mix.covs[mix._heads])  # one per distinct covariance
     if not np.any(covs - covs * np.eye(n)) and _factorizes(labels, mix.weights):
         return marginals, tuple((i,) for i in range(n))
     if not 3 <= n <= _SPLIT_MAX_DIM:
@@ -574,8 +585,8 @@ def check_symmetry(mix):
     sampling and no density evaluation.
     """
     n = mix.dim
-    # one covariance per kernel group: the distinct ones, bit for bit after + 0.0
-    covs = _rounded(mix.covs[mix._order[[g.span.start for g in mix._groups]]])
+    # one covariance per group: the distinct ones, bit for bit after + 0.0
+    covs = _rounded(mix.covs[mix._heads])
     cov_keys, first, cov_label = _label_rows(covs.reshape(len(covs), -1))
     covs = covs[first]
     flips = 1.0 - 2.0 * np.eye(n)  # row i is the diagonal of S_i

@@ -27,13 +27,6 @@ def split_seed(seed, index):
     return (int(seed) ^ _mix64(index)) & _M64
 
 
-def _chunk_sizes(count):
-    sizes = [CHUNK_SIZE] * (count // CHUNK_SIZE)
-    if count % CHUNK_SIZE:
-        sizes.append(count % CHUNK_SIZE)
-    return sizes
-
-
 def _merge(a, b):
     na, mean_a, m2_a = a
     nb, mean_b, m2_b = b
@@ -46,28 +39,22 @@ def _merge(a, b):
 
 def _moments(values):
     values = np.asarray(values, dtype=float)
-    n = values.size
     mean = float(values.mean())
-    m2 = float(np.sum((values - mean) ** 2))
-    return n, mean, m2
+    return values.size, mean, float(np.sum((values - mean) ** 2))
 
 
 def mc_mean(stat, count, seed):
     """Mean and standard error of ``stat(chunk_count, chunk_seed)``.
 
     ``stat`` must return a 1-D array of per-sample statistics.  The draws
-    come in chunks of ``CHUNK_SIZE``, and the result is deterministic in
+    come in chunks of ``CHUNK_SIZE``, drawn and merged one at a time, so
+    memory does not grow with ``count``; the result is deterministic in
     ``(count, seed)``.
     """
-    sizes = _chunk_sizes(int(count))
-    seeds = [split_seed(seed, i) for i in range(len(sizes))]
-    parts = [_moments(stat(m, s)) for m, s in zip(sizes, seeds)]
-    total = parts[0]
-    for part in parts[1:]:
-        total = _merge(total, part)
+    count = int(count)
+    total = None
+    for i, start in enumerate(range(0, count, CHUNK_SIZE)):
+        part = _moments(stat(min(CHUNK_SIZE, count - start), split_seed(seed, i)))
+        total = part if total is None else _merge(total, part)
     n, mean, m2 = total
-    if n > 1:
-        stderr = float(np.sqrt(m2 / (n - 1) / n))
-    else:
-        stderr = float("inf")
-    return mean, stderr, n
+    return mean, float(np.sqrt(m2 / (n - 1) / n)) if n > 1 else float("inf"), n

@@ -1,9 +1,11 @@
+import functools
 import math
 
 import pytest
 
 from symentropy import estimators
 from symentropy.estimators import Estimate
+from symentropy.mixtures import GaussianMixture
 from symentropy.streams import CHUNK_SIZE, split_seed
 
 
@@ -43,3 +45,19 @@ def stream_audit(monkeypatch):
     audit = StreamAudit(estimators._mc_estimate)
     monkeypatch.setattr(estimators, "_mc_estimate", audit)
     return audit
+
+
+@pytest.fixture
+def kernel_builds(monkeypatch):
+    """The laws whose density kernel is built while the fixture is active, one entry per build."""
+    built = []
+    build = GaussianMixture._kernel.func
+
+    def counting(mix):
+        built.append(mix)
+        return build(mix)
+
+    spy = functools.cached_property(counting)
+    spy.__set_name__(GaussianMixture, "_kernel")
+    monkeypatch.setattr(GaussianMixture, "_kernel", spy)
+    return built

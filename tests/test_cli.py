@@ -40,6 +40,25 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="command"):
             RunConfig(command="prove")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["debruijn", "--law", "builtin:gaussian-iid-n1", "--nodes", str(cli.MAX_NODES + 1)],
+            ["calibrate", "--nodes", str(cli.MAX_NODES + 1)],
+            ["scan", "--law", "builtin:gaussian-iid-n2",
+             "--resolution", str(cli.MAX_RESOLUTION + 1)],
+        ],
+        ids=["debruijn-nodes", "calibrate-nodes", "scan-resolution"],
+    )
+    def test_size_above_its_bound_exits_2_before_running(self, argv, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run", lambda config: pytest.fail("the command ran"))
+        assert main(argv) == 2
+        assert "must be in [" in capsys.readouterr().err
+
+    def test_size_at_its_bound_is_accepted(self):
+        config = RunConfig(command="scan", nodes=cli.MAX_NODES, resolution=cli.MAX_RESOLUTION)
+        assert (config.nodes, config.resolution) == (cli.MAX_NODES, cli.MAX_RESOLUTION)
+
 
 class TestVerifyCommand:
     def test_gaussian_exits_zero_with_equality(self, tmp_path):
@@ -115,6 +134,12 @@ class TestVerifyCommand:
 
 # Malformed law files, out-of-range builtin dimensions and non-finite
 # parameters: each is a configuration error, never a traceback.
+# smallest eigenvalue 6.9e-9 by eigvalsh, yet numpy finds no Cholesky factor
+NO_CHOLESKY = [
+    [150039176.136264, -11600303.514384, -147416457.828324],
+    [-11600303.514384, 896879.599054, 11397528.225194],
+    [-147416457.828324, 11397528.225194, 144839586.824082],
+]
 BAD_LAWS = {
     "directory": None,
     "json-list": "[]",
@@ -137,6 +162,10 @@ BAD_LAWS = {
         }
     ),
     "not-pd": '{"dim": 2, "components": [{"weight": 1.0, "mean": [0.0, 0.0], "cov": [[1.0, 2.0], [2.0, 1.0]]}]}',
+    # past the eigenvalue floor, but without a Cholesky factor
+    "no-cholesky": json.dumps(
+        {"dim": 3, "components": [{"weight": 1.0, "mean": [0.0] * 3, "cov": NO_CHOLESKY}]}
+    ),
     "ragged-cov": '{"dim": 2, "components": [{"weight": 1.0, "mean": [0.0, 0.0], "cov": [[1.0], [0.0, 1.0]]}]}',
     "cov-shape": '{"dim": 2, "components": [{"weight": 1.0, "mean": [0.0, 0.0], "cov": [[1.0]]}]}',
     # each weight is finite, but their sum overflows
@@ -151,7 +180,9 @@ BAD_LAWS = {
 }
 # Well-shaped law files that make_gaussian_mixture rejects; every other
 # file in BAD_LAWS fails to parse as a mixture.
-INVALID_LAWS = ("nan-cov", "inf-mean", "dim-513", "not-pd", "weight-sum-overflow")
+INVALID_LAWS = (
+    "nan-cov", "inf-mean", "dim-513", "not-pd", "no-cholesky", "weight-sum-overflow"
+)
 
 
 @pytest.mark.parametrize("name", sorted(BAD_LAWS))
@@ -316,13 +347,18 @@ def test_each_subcommand_accepts_only_the_options_it_reads(monkeypatch, capsys):
     assert len(accepted) == 45
 
 
-def test_benchmark_argv_parse(monkeypatch):
-    # every CLI operation of every benchmark workload still parses; the
-    # Fisher-lemma operation calls the library and runs as it is
+def _workloads():
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location("workloads", root / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_argv_parse(monkeypatch):
+    # every CLI operation of every benchmark workload still parses; the
+    # Fisher-lemma operation calls the library and runs as it is
+    workloads = _workloads()
     configs = []
     monkeypatch.setattr(cli, "run", lambda config: configs.append(config) or 0)
     for name in workloads.WORKLOADS:
@@ -331,6 +367,17 @@ def test_benchmark_argv_parse(monkeypatch):
             status, _ = op.call(ctx)
             assert status in (None, 0), (name, op.name)
     assert {config.command for config in configs} == set(READ_OPTIONS) - {"debruijn"}
+
+
+@pytest.mark.parametrize("name", ["verify-n8", "statements-n3"])
+def test_benchmark_operations_build_no_density_kernel(name, kernel_builds):
+    # every verdict of both workloads is deterministic: no law is sampled or
+    # evaluated, so none builds the tables of its density kernel
+    workloads = _workloads()
+    ctx = workloads.prepare(name, 0)
+    for op in ctx.ops:
+        status, _ = op.call(ctx)
+        assert status in (None, 0) and kernel_builds == [], op.name
 
 
 def test_default_budget_comes_from_budget(tmp_path):

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import symentropy as se
-from symentropy import estimators
+from symentropy import estimators, streams
 from symentropy.mixtures import ROTATION_2D
+from symentropy.streams import CHUNK_SIZE, split_seed
 
 HALF_LOG_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 
@@ -209,8 +211,6 @@ class TestQuadrature2dAndFisher:
         # a law that never converges takes both step halvings, 1025^2 nodes,
         # and no slab of their node-components exceeds CHUNK_SIZE, nor wastes
         # half of it
-        from symentropy.streams import CHUNK_SIZE
-
         sizes = []
         law = se.make_gaussian_mixture(
             [(0.5, [s * 30.0, 0.0], 0.001 * np.eye(2)) for s in (-1.0, 1.0)]
@@ -479,7 +479,7 @@ class TestProjectionEntropy:
             assert est.method == "quadrature_1d"
 
     def test_two_group_law_has_several_covariance_groups(self):
-        assert len(_two_group_law()._groups) >= 2
+        assert len(_two_group_law()._heads) >= 2
 
     def test_only_unconverged_rows_double(self):
         # narrow components at +-30 along the first axis need step halvings;
@@ -814,6 +814,40 @@ MC_ESTIMATES = {
 }
 
 
+class TestMcMean:
+    @staticmethod
+    def normals(m, s):
+        return np.random.default_rng(s).standard_normal(m)
+
+    @pytest.mark.parametrize("count", [100, CHUNK_SIZE, 3 * CHUNK_SIZE + 17])
+    def test_matches_all_chunks_merged_at_once(self, count):
+        # every chunk's moments first, then one left fold over them in order
+        full, rest = divmod(count, CHUNK_SIZE)
+        sizes = [CHUNK_SIZE] * full + [rest] * (rest > 0)
+        parts = [streams._moments(self.normals(m, split_seed(7, i))) for i, m in enumerate(sizes)]
+        total = parts[0]
+        for part in parts[1:]:
+            total = streams._merge(total, part)
+        n, mean, m2 = total
+        assert streams.mc_mean(self.normals, count, 7) == (mean, math.sqrt(m2 / (n - 1) / n), n)
+
+    def test_memory_does_not_grow_with_count(self):
+        class FirstChunk(Exception):
+            pass
+
+        def stat(m, s):
+            raise FirstChunk
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstChunk):
+                streams.mc_mean(stat, 10**11, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+
 class TestMonteCarloSkeleton:
     @pytest.mark.parametrize(
         "name, error, message",
@@ -883,7 +917,7 @@ class TestScoreProjection:
         law = se.make_gaussian_mixture(components)
         a = np.linalg.qr(rng.standard_normal((4, 2)))[0].T
         parts = estimators._conditional_parts(law, a)
-        assert len(parts) == len(law._groups) == 3
+        assert len(parts) == len(law._heads) == 3
         for cov, (gain, _) in zip(law.covs, parts):
             chol = np.linalg.cholesky(a @ cov @ a.T)
             want = cho_solve((chol, True), a @ cov).T

@@ -122,8 +122,19 @@ class TestDeBruijnEntropy:
         law = se.bimodal_1d()
         est = se.entropy_via_debruijn(law, nodes=16, count=400, seed=2)
         assert len(stream_audit.calls) == 16
-        value, stderr = heat_flow._debruijn_sum(law, 16, 400, 2)
+        value, stderr, draws = heat_flow._debruijn_sum(law, 16, 400, 2)
         assert (est.value, est.stderr) == (value, floored_stderr(stderr, value))
+        assert est.count == draws == 16 * 400
+
+    @pytest.mark.parametrize("nodes, calls", [(16, 32), (24, 80), (48, 144)])
+    def test_count_is_every_draw(self, stream_audit, nodes, calls):
+        # a pilot and a main call per node, in the sum and, above 16 nodes, in
+        # the half-resolution sum; the allocation truncates, so the total is
+        # not a multiple of count
+        stream_audit.draw = False
+        est = se.entropy_via_debruijn(se.bimodal_1d(), nodes=nodes, count=20000, seed=0)
+        assert [call[0] for call in stream_audit.calls] == ["mc_score"] * calls
+        assert est.count == sum(call[1] for call in stream_audit.calls)
 
     def test_node_floor(self):
         with pytest.raises(ValueError, match="nodes"):

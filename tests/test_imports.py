@@ -1,6 +1,8 @@
 """Every module of the package, other than ``__init__``, uses each name it
 imports and imports no underscore name from another module of the package;
-importing the package loads no module it does not need."""
+no code outside ``GaussianMixture``'s methods reads the private attributes
+of its density kernel; importing the package loads no module it does not
+need."""
 
 import ast
 import os
@@ -64,6 +66,64 @@ def test_check_finds_a_private_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_private_imports(module):
     assert _private_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+# The private attributes of a mixture that any code may read: its grouping.
+GROUPING = {"_group_of", "_heads"}
+
+
+def _mixture_kernel_attributes():
+    # every private method and attribute that GaussianMixture defines,
+    # other than its grouping
+    tree = ast.parse((PACKAGE / "mixtures.py").read_text(encoding="utf-8"))
+    cls = next(
+        n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "GaussianMixture"
+    )
+    names = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+    names |= {
+        n.attr for n in ast.walk(cls) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+    }
+    return {n for n in names if n.startswith("_") and not n.startswith("__")} - GROUPING
+
+
+def _kernel_reads(source, kernel):
+    """(line, name) of every use of an attribute in ``kernel`` outside
+    the body of a class ``GaussianMixture``."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "GaussianMixture"
+        for node in ast.walk(cls)
+    }
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in kernel and id(node) not in inside
+    )
+
+
+def test_check_finds_a_kernel_read():
+    source = (
+        "class GaussianMixture:\n"
+        "    def heads(self):\n"
+        "        return self._order[[g.span.start for g in self._groups]]\n"
+        "def heads(mix):\n"
+        "    return mix._order[[g.span.start for g in mix._groups]], mix._group_of\n"
+    )
+    assert _kernel_reads(source, {"_groups", "_order"}) == [(5, "_groups"), (5, "_order")]
+
+
+def test_kernel_attributes_found():
+    kernel = _mixture_kernel_attributes()
+    assert {"_kernel", "_blocks", "_center", "_block_rows"} <= kernel
+    assert not kernel & GROUPING
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_mixture_reads_its_kernel(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert _kernel_reads(source, _mixture_kernel_attributes()) == []
 
 
 def test_import_leaves_numpy_polynomial_unloaded():

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -87,6 +88,21 @@ class TestConstruction:
         components = [good] * 10
         components[3] = components[7] = (0.1, [1.0, 0.0], bad)
         with pytest.raises(se.NotPositiveDefiniteError, match="component 3:"):
+            se.make_gaussian_mixture(components)
+
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_covariance_without_cholesky_factor_names_component(self, at):
+        # eigvalsh puts its smallest eigenvalue at 6.9e-9, past the floor,
+        # but beside one of 3e8 it does not resolve it, and the factor fails
+        cov = [
+            [150039176.136264, -11600303.514384, -147416457.828324],
+            [-11600303.514384, 896879.599054, 11397528.225194],
+            [-147416457.828324, 11397528.225194, 144839586.824082],
+        ]
+        assert np.linalg.eigvalsh(cov)[0] > 1e-12
+        components = [(1.0, [0.0, 0.0, float(k)], np.eye(3)) for k in range(4)]
+        components[at] = (1.0, [0.0, 0.0, 0.0], cov)
+        with pytest.raises(se.NotPositiveDefiniteError, match=f"component {at}: .*Cholesky"):
             se.make_gaussian_mixture(components)
 
     def test_eigenvalues_once_per_distinct_covariance(self, monkeypatch):
@@ -264,7 +280,7 @@ class TestKernel:
     @pytest.mark.parametrize("name", sorted(KERNEL_LAWS))
     def test_matches_per_component_oracle(self, name):
         law = KERNEL_LAWS[name]
-        assert len(law._groups) == GROUP_COUNTS.get(name, 1)
+        assert len(law._heads) == GROUP_COUNTS.get(name, 1)
         x = law.sample(500, 5)
         center = law.weights @ law.means
         # far points: the log-sum-exp is dominated by one tiny term
@@ -311,20 +327,20 @@ class TestKernel:
             if law.dim <= 4 and np.all(law.covs[0] == np.diag(np.diag(law.covs[0]))):
                 derived.append(se.symmetrize(law))
             for d in derived:
-                assert len(d._groups) == 1, (law, d)
+                assert len(d._heads) == 1, (law, d)
         # A reflection flips the sign of an off-diagonal entry.  For a
         # correlation the reflected covariances genuinely differ and form two
         # groups; for rotated-bimodal they differ only by the rounding
         # residue of the 45-degree rotation (~1e-17), round to one merge key
         # and share one array.
-        assert len(se.symmetrize(se.correlated_gaussian(0.5))._groups) == 2
-        assert len(se.symmetrize(se.rotated_bimodal())._groups) == 1
+        assert len(se.symmetrize(se.correlated_gaussian(0.5))._heads) == 2
+        assert len(se.symmetrize(se.rotated_bimodal())._heads) == 1
 
     def test_signed_zero_covariances_share_a_group(self):
         law = se.make_gaussian_mixture(
             [(0.5, [1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]), (0.5, [-1.0, 0.0], [[1.0, -0.0], [-0.0, 1.0]])]
         )
-        assert len(law._groups) == 1
+        assert len(law._heads) == 1
 
     @pytest.mark.parametrize("name", ["bimodal-n2", "mixed-covariances-2d"])
     def test_non_finite_point_spoils_only_its_row(self, name):
@@ -350,6 +366,48 @@ class TestKernel:
     def test_sample_bit_identical_to_loop_path(self, law):
         for count, seed in [(1, 0), (7, 1), (1000, 2), (70000, 3)]:
             assert np.array_equal(law.sample(count, seed), _reference_sample(law, count, seed))
+
+
+class TestKernelOnFirstUse:
+    LAWS = [
+        se.bimodal_product(3),
+        KERNEL_LAWS["mixed-covariances-2d"],
+        se.symmetrize(se.correlated_gaussian(0.5)),
+    ]
+    USES = {
+        "entropy_mc": lambda law: se.entropy_mc(law, 1000, 0).value,
+        "fisher_mc": lambda law: se.fisher_mc(law, 1000, 0).value,
+        "sample": lambda law: law.sample(100, 0),
+        "responsibilities": lambda law: law.responsibilities(np.zeros(law.dim)),
+    }
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_construction_and_tables_build_nothing(self, law, kernel_builds):
+        fresh = se.make_gaussian_mixture(law.components)
+        se.check_symmetry(fresh)
+        se.coordinate_marginals(fresh)
+        mixtures.line_laws(fresh, np.eye(fresh.dim))
+        assert kernel_builds == []
+
+    @pytest.mark.parametrize("use", sorted(USES))
+    @pytest.mark.parametrize("law", LAWS)
+    def test_each_use_builds_once_per_law(self, law, use, kernel_builds):
+        fresh = mixtures.GaussianMixture(law.weights, law.means, law.covs)
+        first = self.USES[use](fresh)
+        for again in sorted(self.USES):
+            self.USES[again](fresh)
+        assert kernel_builds == [fresh]
+        assert np.array_equal(self.USES[use](law), first)
+
+    def test_racing_threads_build_identical_tables(self):
+        law = KERNEL_LAWS["correlated-groups-n8"]
+        x = law.sample(300, 1)
+        want = law.log_density(x), law.score(x)
+        fresh = [mixtures.GaussianMixture(law.weights, law.means, law.covs) for _ in range(8)]
+        with ThreadPoolExecutor(4) as pool:
+            for mix in fresh:
+                got = list(pool.map(lambda _: (mix.log_density(x), mix.score(x)), range(4)))
+                assert all(np.array_equal(g[0], want[0]) and np.array_equal(g[1], want[1]) for g in got)
 
 
 class TestPushForward:

@@ -16,7 +16,6 @@ from .bases import (
     check_balanced,
     gram_schmidt,
     proof_basis_family,
-    sign_vertex_basis,
 )
 from .errors import (
     DimensionMismatchError,

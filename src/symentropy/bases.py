@@ -1,6 +1,5 @@
-"""Exact small-matrix constructions: Gram-Schmidt, sign-vertex bases,
-the basis family used by the n >= 3 equality analysis, and balanced
-k x n projections.
+"""Exact small-matrix constructions: Gram-Schmidt by QR, the basis family
+used by the n >= 3 equality analysis, and balanced k x n projections.
 
 Everything is deterministic; constructions representable in exact
 arithmetic hold their invariants to 1e-12 in doubles.
@@ -77,48 +76,22 @@ class ProofBasisFamily:
 def gram_schmidt(vectors):
     """Orthonormalize ``n`` vectors of R^n, preserving leading spans.
 
-    Modified Gram-Schmidt with one reorthogonalization pass; the span of the
-    first j outputs equals the span of the first j inputs for every j.
+    The Q factor of a Householder QR, each column's sign chosen so that R
+    has a positive diagonal: that Q is the Gram-Schmidt basis, and the span
+    of the first j outputs equals the span of the first j inputs for every j.
+    Raises ``LinearlyDependentError`` at the first column j with
+    ``|R_jj| <= 1e-10 * max(1, |v_j|)``.
     """
     matrix = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
     n, m = matrix.shape
     if n != m:
         raise LinearlyDependentError(m, f"need {n} vectors in R^{n}, got {m}")
-    q = np.zeros((n, n))
-    for j in range(n):
-        u = matrix[:, j].copy()
-        for _ in range(2):
-            for i in range(j):
-                u -= (q[:, i] @ u) * q[:, i]
-        norm = float(np.linalg.norm(u))
-        if norm <= _DEP_TOL * max(1.0, float(np.linalg.norm(matrix[:, j]))):
-            raise LinearlyDependentError(j)
-        q[:, j] = u / norm
-    return OrthonormalBasis(q)
-
-
-def _householder_ones_completion(n):
-    # Reflector mapping e1 to the unit all-ones vector; symmetric orthogonal,
-    # so its columns complete that vector to a basis.
-    u = np.full(n, 1.0 / np.sqrt(n))
-    v = u - np.eye(n)[:, 0]
-    h = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)
-    return h
-
-
-def sign_vertex_basis(signs):
-    """Orthonormal basis whose first column is ``signs / sqrt(n)``.
-
-    Deterministic: the fixed Householder completion of the all-ones vertex,
-    with row i sign-flipped wherever ``signs[i] == -1``.
-    """
-    s = np.asarray(signs, dtype=float)
-    n = s.shape[0]
-    if n < 2:
-        raise DimensionTooSmallError(f"need n >= 2 (got {n})")
-    if not np.all(np.abs(s) == 1.0):
-        raise ValueError("signs: every entry must be +1 or -1")
-    return OrthonormalBasis(s[:, None] * _householder_ones_completion(n))
+    q, r = np.linalg.qr(matrix)
+    diag = np.diagonal(r)
+    dependent = np.abs(diag) <= _DEP_TOL * np.maximum(1.0, np.linalg.norm(matrix, axis=0))
+    if dependent.any():
+        raise LinearlyDependentError(int(np.argmax(dependent)))
+    return OrthonormalBasis(q * np.sign(diag))
 
 
 def _sign_vertex_vectors(n):

@@ -228,7 +228,7 @@ class GaussianMixture:
         return out[0] if single else out
 
     def sample(self, count, seed):
-        """Draw ``count`` points; deterministic given ``(count, seed)``.
+        """Draw ``count`` points; deterministic given ``(count, seed mod 2^64)``.
 
         Every point gets the first group's ``z L^T``; points drawn from any
         other group are then redone with that group's factor.
@@ -236,7 +236,7 @@ class GaussianMixture:
         count = int(count)
         if count < 1:
             raise ValueError(f"count: must be >= 1 (got {count})")
-        rng = np.random.default_rng(int(seed))
+        rng = np.random.default_rng(int(seed) % 2**64)
         comp = rng.choice(self.n_components, size=count, p=self.weights)
         z = rng.standard_normal((count, self.dim))
         out = self.means[comp]
@@ -459,11 +459,13 @@ def symmetrize(mix):
 
     Averages the 2^n coordinate sign reflections of every component and
     merges reflected duplicates by (mean, cov) fingerprint, so symmetric
-    inputs are fixed points.  Mean coordinates that round to 0 at the merge
-    rounding are set to 0 first, and each merged component keeps the first
-    reflection of its orbit, so the output's means are exact mirror images.
-    Reflected covariances with the same rounded fingerprint share the first
-    such array, so rounding residues do not split the output into more
+    inputs are fixed points at the merge rounding: their means and
+    covariances come back unchanged, and their weights can move in the last
+    bits.  Mean coordinates that round to 0 at the merge rounding are set
+    to 0 first, and each merged component keeps the first reflection of
+    its orbit, so the output's means are exact mirror images.  Reflected
+    covariances with the same rounded fingerprint share the first such
+    array, so rounding residues do not split the output into more
     covariance groups.  Guarded to n <= 12 because the component count
     multiplies by up to 2^n.
     """

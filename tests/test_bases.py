@@ -63,39 +63,6 @@ class TestGramSchmidt:
         assert np.max(np.abs(basis.matrix.T @ basis.matrix - np.eye(n))) <= 1e-12
 
 
-class TestSignVertexBasis:
-    def test_n2_matches_rotation_up_to_column_signs(self):
-        basis = se.sign_vertex_basis([1, 1]).matrix
-        target = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2)
-        for sign in (1.0, -1.0):
-            candidate = basis * np.array([1.0, sign])
-            if np.allclose(candidate, target, atol=1e-12):
-                break
-        else:
-            pytest.fail(f"no column-sign match:\n{basis}")
-
-    def test_first_column_is_the_vertex(self):
-        basis = se.sign_vertex_basis([1, 1, 1])
-        assert np.allclose(basis.column(0), np.ones(3) / math.sqrt(3), atol=1e-14)
-
-    def test_sign_flip_is_row_flip(self):
-        flipped = se.sign_vertex_basis([-1, 1, 1]).matrix
-        plain = se.sign_vertex_basis([1, 1, 1]).matrix.copy()
-        plain[0, :] *= -1.0
-        assert np.allclose(flipped, plain, atol=1e-15)
-
-    def test_orthonormal_for_all_patterns(self):
-        for bits in range(16):
-            signs = [1 if bits & (1 << j) else -1 for j in range(4)]
-            basis = se.sign_vertex_basis(signs)
-            assert np.max(np.abs(basis.matrix.T @ basis.matrix - np.eye(4))) <= 1e-12
-            assert np.allclose(basis.column(0), np.asarray(signs) / 2.0, atol=1e-14)
-
-    def test_rejects_bad_signs(self):
-        with pytest.raises(ValueError):
-            se.sign_vertex_basis([1, 0.5])
-
-
 class TestProofBasisFamily:
     def test_rejects_n2(self):
         with pytest.raises(se.DimensionTooSmallError):

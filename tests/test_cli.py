@@ -654,6 +654,13 @@ class TestCalibrateCommand:
         assert math.isnan(payload["max_abs_z"])
         assert sum(math.isnan(e["z"]) for e in payload["entries"]) == 2
 
+    def test_negative_seed_exits_without_a_traceback(self, tmp_path, capsys):
+        argv = ("calibrate", "--seed", "-2", "--samples", "200", "--nodes", "16")
+        first = invoke(tmp_path, *argv)
+        assert first[0] in (0, 1)
+        assert invoke(tmp_path, *argv) == first
+        assert capsys.readouterr().err == ""
+
     def test_verdict_stable_across_seeds(self, tmp_path):
         # frozen 10-seed window; individual seeds can land z slightly over
         # the band by chance, which is a property of the 3-sigma rule itself

@@ -19,7 +19,7 @@ def gaussian_entropy(n, var):
 
 # the product of three bimodal coordinates in a rotated basis: not a product
 ROTATED_BIMODAL_N3 = se.push_forward_linear(
-    se.bimodal_product(3), se.sign_vertex_basis([1, 1, 1]).matrix.T
+    se.bimodal_product(3), se.proof_basis_family(3).bases[0].matrix.T
 )
 # two independent copies of rotated-bimodal, on coordinates (0, 1) and (2, 3)
 BLOCK_LAW = se.push_forward_linear(se.bimodal_product(4), np.kron(np.eye(2), ROTATION_2D))
@@ -343,7 +343,7 @@ class TestEntropyDecomposed:
     def test_dependent_block_beside_an_independent_coordinate_draws(self):
         # a bimodal coordinate 0 beside ROTATED_BIMODAL_N3 on coordinates 1-3;
         # only the 3-D block draws, and h(X) is 4 h(bimodal)
-        rotation = se.sign_vertex_basis([1, 1, 1]).matrix.T
+        rotation = se.proof_basis_family(3).bases[0].matrix.T
         law = se.push_forward_linear(
             se.bimodal_product(4), np.block([[1.0, np.zeros((1, 3))], [np.zeros((3, 1)), rotation]])
         )
@@ -923,6 +923,12 @@ class TestScoreProjection:
             want = cho_solve((chol, True), a @ cov).T
             assert np.max(np.abs(gain - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_negative_seed(self):
+        law = se.correlated_gaussian(0.5)
+        a = np.array([[0.6, -0.8]])
+        report = se.score_projection_residual(law, a, probes=4, count=1000, seed=-1)
+        assert report.max_residual <= 1e-12
+
     def test_rejects_rank_deficient(self):
         with pytest.raises(se.RankDeficientError):
             se.score_projection_residual(
@@ -949,6 +955,9 @@ class TestMixedPartial:
     def test_index_validation(self):
         with pytest.raises(se.IndexOutOfRangeError):
             se.mixed_partial_independence(se.gaussian_iid(2), 5)
+
+    def test_negative_seed(self):
+        assert se.mixed_partial_independence(se.bimodal_product(2), 0, seed=-1).verdict
 
 
 class TestCrossMethodAgreement:

@@ -1,8 +1,8 @@
 """Every module of the package, other than ``__init__``, uses each name it
 imports and imports no underscore name from another module of the package;
-no code outside ``GaussianMixture``'s methods reads the private attributes
-of its density kernel; importing the package loads no module it does not
-need."""
+every module-level private name is used somewhere in the package; no code
+outside ``GaussianMixture``'s methods reads the private attributes of its
+density kernel; importing the package loads no module it does not need."""
 
 import ast
 import os
@@ -66,6 +66,65 @@ def test_check_finds_a_private_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_private_imports(module):
     assert _private_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _orphans(sources):
+    """(module, line, name) of every module-level private function, class
+    or constant that no code in ``sources`` names outside its own
+    definition; ``sources`` maps module names to their text."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    uses = [
+        (id(node), node.id if isinstance(node, ast.Name) else node.attr)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+    orphans = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            inside = {id(node) for node in ast.walk(stmt)}
+            orphans += [
+                (module, stmt.lineno, name)
+                for name in names
+                if _private(name)
+                and not any(used == name and node not in inside for node, used in uses)
+            ]
+    return sorted(orphans)
+
+
+def test_check_finds_an_orphan():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n"
+            "_UNUSED: int = 4\n"
+            "def _countdown(n):\n"
+            "    return _countdown(n - 1) if n else _LIMIT\n"
+            "def _helper():\n"
+            "    return 1\n"
+            "class _Box:\n"
+            "    pass\n"
+            "def public():\n"
+            "    return _Box\n"
+        ),
+        "b.py": "import a\nprint(a._helper())\n",
+    }
+    assert _orphans(sources) == [("a.py", 2, "_UNUSED"), ("a.py", 3, "_countdown")]
+
+
+def test_no_orphaned_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert _orphans(sources) == []
 
 
 # The private attributes of a mixture that any code may read: its grouping.

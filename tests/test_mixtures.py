@@ -851,6 +851,10 @@ class TestSampling:
         b = law.sample(1000, 7)
         assert np.array_equal(a, b)
 
+    def test_negative_seed_is_its_residue_mod_2_64(self):
+        law = se.bimodal_product(2)
+        assert np.array_equal(law.sample(5, -1), law.sample(5, 2**64 - 1))
+
     def test_mean_within_clt_bound(self):
         x = se.gaussian_iid(1).sample(100000, 7)
         assert abs(x.mean()) <= 3.0 / math.sqrt(100000)

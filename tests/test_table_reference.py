@@ -1,11 +1,14 @@
 """The table code of ``mixtures`` and ``fixtures`` against reference copies of
-the per-component algorithms it replaced.
+the per-component algorithms it replaced, and ``bases.gram_schmidt`` against
+the column loop it replaced.
 
 Each reference below is the earlier implementation, kept verbatim apart from
 names: one pass per component or per coordinate, with no merging of equal
 values.  The library must agree with it bit for bit (arrays compared as
 bytes, so ``-0.0`` and ``0.0`` differ), or raise the same error class with
-the same message.
+the same message.  The exception is Gram-Schmidt: Householder QR and the
+modified Gram-Schmidt loop round differently, so their Q factors agree to
+1e-13 on well-conditioned inputs and by about cond * eps beyond.
 """
 
 import itertools
@@ -16,7 +19,13 @@ import pytest
 
 import symentropy as se
 from symentropy import mixtures
-from symentropy.errors import DimensionMismatchError, DimensionTooLargeError, EmptyMixtureError
+from symentropy.bases import _DEP_TOL
+from symentropy.errors import (
+    DimensionMismatchError,
+    DimensionTooLargeError,
+    EmptyMixtureError,
+    LinearlyDependentError,
+)
 from symentropy.mixtures import MAX_DIM, _checked_mixture, _label_rows, _rounded
 
 
@@ -393,3 +402,91 @@ def test_make_gaussian_mixture_matches_reference(name):
     assert _outcome(se.make_gaussian_mixture, components) == _outcome(
         reference_make_gaussian_mixture, components
     )
+
+
+# --- Gram-Schmidt -------------------------------------------------------------
+
+
+def reference_gram_schmidt(vectors):
+    matrix = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
+    n, m = matrix.shape
+    if n != m:
+        raise LinearlyDependentError(m, f"need {n} vectors in R^{n}, got {m}")
+    q = np.zeros((n, n))
+    for j in range(n):
+        u = matrix[:, j].copy()
+        for _ in range(2):
+            for i in range(j):
+                u -= (q[:, i] @ u) * q[:, i]
+        norm = float(np.linalg.norm(u))
+        if norm <= _DEP_TOL * max(1.0, float(np.linalg.norm(matrix[:, j]))):
+            raise LinearlyDependentError(j)
+        q[:, j] = u / norm
+    return se.OrthonormalBasis(q)
+
+
+def _columns(m):
+    return [m[:, j] for j in range(m.shape[1])]
+
+
+def _gram_schmidt_gap(vectors):
+    return np.max(np.abs(se.gram_schmidt(vectors).matrix - reference_gram_schmidt(vectors).matrix))
+
+
+def test_gram_schmidt_matches_reference_on_random_bases():
+    for n in range(2, 65):
+        m = np.random.default_rng(n).standard_normal((n, n))
+        assert _gram_schmidt_gap(_columns(m)) <= 1e-13, n
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 64])
+def test_gram_schmidt_matches_reference_on_the_proof_family(n):
+    fam = se.proof_basis_family(n)
+    for i, basis in enumerate(fam.bases):
+        order = [i] + [j for j in range(n) if j != i]
+        vectors = _columns(fam.v[:, order])
+        assert np.array_equal(basis.matrix, se.gram_schmidt(vectors).matrix)
+        assert _gram_schmidt_gap(vectors) <= 1e-13, i
+
+
+def _dependent_inputs():
+    rng = np.random.default_rng(5)
+    cases = {
+        "sum-of-two": _columns(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])),
+        "zero-first": _columns(np.array([[0.0, 1.0], [0.0, 1.0]])),
+        "repeated-last": _columns(np.array([[1.0, 2.0, 2.0], [3.0, 1.0, 1.0], [0.5, 4.0, 4.0]])),
+        "too-few": [np.ones(3), np.arange(3.0)],
+    }
+    for n, j in [(4, 1), (6, 3), (8, 7), (16, 9)]:
+        m = rng.standard_normal((n, n))
+        m[:, j] = m[:, :j] @ rng.standard_normal(j)
+        cases[f"n{n}-column{j}"] = _columns(m)
+    return cases
+
+
+DEPENDENT = _dependent_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(DEPENDENT))
+def test_gram_schmidt_reports_the_reference_index(name):
+    indices = []
+    for build in (se.gram_schmidt, reference_gram_schmidt):
+        with pytest.raises(LinearlyDependentError) as err:
+            build(DEPENDENT[name])
+        indices.append(err.value.index)
+    assert indices[0] == indices[1]
+
+
+@pytest.mark.parametrize("cond", [1e6, 1e8])
+def test_ill_conditioned_gram_schmidt_keeps_spans_like_the_reference(cond):
+    rng = np.random.default_rng(4)
+    n = 6
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    m = u @ np.diag(np.geomspace(1.0, 1.0 / cond, n)) @ v.T
+    for build in (se.gram_schmidt, reference_gram_schmidt):
+        q = build(_columns(m)).matrix
+        assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-12
+        for j in range(1, n + 1):
+            residual = m[:, :j] - q[:, :j] @ (q[:, :j].T @ m[:, :j])
+            assert np.max(np.abs(residual)) <= 1e-12

@@ -6,10 +6,11 @@ I(X_t) - n/(1+t) recovers the entropy:
 
     h(X) = (n/2) log(2 pi e) - 1/2 * Int_0^inf ( I(X_t) - n/(1+t) ) dt.
 
-The path values below are exact quadratures of the smoothed 1-D law; the
-integral itself is estimated with Monte Carlo Fisher information at each
-node.  This gives a third, independent route to the same entropy values
-that the Monte Carlo and quadrature estimators produce.
+The path values below are exact quadratures of the smoothed 1-D law, and
+the integral sums the same quadratures over Gauss-Legendre nodes; its
+stderr is the change from the sum at half the nodes.  This gives a third,
+independent route to the same entropy values that the Monte Carlo and
+quadrature estimators produce.
 """
 
 import symentropy as se
@@ -40,6 +41,6 @@ for name, law in [
     quad = se.entropy_quadrature_1d(law)
     mc = se.entropy_mc(law, 100_000, 0)
     print(f"\n{name}")
-    print(f"  heat-flow integral: {flow.value:.5f} +/- {flow.stderr:.5f}")
+    print(f"  heat-flow integral: {flow.value:.5f} +/- {flow.stderr:.1e}")
     print(f"  quadrature:         {quad.value:.5f}")
     print(f"  Monte Carlo:        {mc.value:.5f} +/- {mc.stderr:.5f}")

@@ -29,9 +29,6 @@ class OrthonormalBasis:
     def dim(self):
         return self.matrix.shape[0]
 
-    def column(self, j):
-        return self.matrix[:, j].copy()
-
 
 @dataclass(frozen=True)
 class BalancedProjection:

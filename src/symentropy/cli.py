@@ -240,7 +240,7 @@ def _debruijn(config):
     law = _load_law(config.law_path)
     est = entropy_via_debruijn(law, nodes=config.nodes, count=config.samples, seed=config.seed)
     # where the structure rule draws, it takes stream -1 of the seed, which no
-    # de Bruijn node (one-chunk pilot on stream j, main pass on 100_000 + j) uses
+    # de Bruijn node (stream 100_000 + j) uses
     reference = entropy_decomposed(law, config.samples, split_seed(config.seed, -1))
     z, verdict = agreement(est, reference, config.tol_sigma)
     payload = {

@@ -58,9 +58,9 @@ class Estimate:
     ``method`` is one of mc_logdensity, mc_score, mc_cross_term,
     mc_total_correlation, quadrature_1d, quadrature_2d, decomposed, knn,
     debruijn and closed_form.  ``count`` is the draws of a Monte Carlo
-    estimate, a decomposition or a de Bruijn estimate (both its sums), the
-    node count of a quadrature rule, the sample size of a kNN estimate, and
-    0 for a closed form.
+    estimate, a decomposition or a de Bruijn estimate (both its sums; 0
+    where every node is a quadrature), the node count of a quadrature rule,
+    the sample size of a kNN estimate, and 0 for a closed form.
     """
 
     value: float

@@ -7,19 +7,21 @@ Fisher information along the path:
 
 The substitution t = u/(1-u) compactifies the domain to u in [0, 1); the
 integrand decays like 1/t^2, so after the substitution it stays bounded
-and Gauss-Legendre nodes in u need no explicit tail term.  Each node's
-I(X_t) is a :func:`fisher_mc` estimate on its own streams.
+and Gauss-Legendre nodes in u need no explicit tail term.  X_t is an exact
+mixture, so each node's I(X_t) is :func:`fisher_decomposed`: a quadrature
+wherever the structure rule converges, drawn only where it does not.
 """
 
 import math
 
 import numpy as np
 
-from .estimators import Estimate, fisher_mc, floored_stderr
+from .estimators import Estimate, fisher_decomposed, floored_stderr
 from .mixtures import convolve_isotropic
-from .streams import CHUNK_SIZE, split_seed
+from .streams import split_seed
 
 _LOG_2PIE = math.log(2.0 * math.pi * math.e)
+_MIN_NODE_COUNT = 100
 
 
 def _gl_unit_interval(nodes):
@@ -27,85 +29,67 @@ def _gl_unit_interval(nodes):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-_PILOT_FRACTION = 8
-_MIN_NODE_COUNT = 100
+def _node_counts(mix, t, jac, budget):
+    """Draws per node: ``budget`` split by each node's share of the sum's noise.
 
-
-def _pool(a, b):
-    # Pool two independent unbiased mean estimates by sample count.
-    n = a.count + b.count
-    value = (a.count * a.value + b.count * b.value) / n
-    stderr = math.sqrt((a.count * a.stderr) ** 2 + (b.count * b.stderr) ** 2) / n
-    return Estimate(value, stderr, a.method, n)
+    A Gaussian component of X_t whose covariance has eigenvalues lam_i + t
+    gives |score|^2 a spread of sqrt(2 sum_i (lam_i + t)^-2).  Node j's share
+    is its Jacobian times the root of the weight-averaged sum, taken once per
+    distinct covariance; no node draws fewer than 100.
+    """
+    spread = np.zeros_like(t)
+    group_weights = np.bincount(mix._group_of, weights=mix.weights)
+    for cov, weight in zip(mix.covs[mix._heads], group_weights):
+        spread += weight * (1.0 / (np.linalg.eigvalsh(cov)[:, None] + t) ** 2).sum(axis=0)
+    share = jac * np.sqrt(spread)
+    return np.maximum(_MIN_NODE_COUNT, (budget * share / share.sum()).astype(int))
 
 
 def _debruijn_sum(mix, nodes, count, seed):
     """Weighted Gauss-Legendre sum of (I(X_t) - n/(1+t)) over u = t/(1+t).
 
-    The Jacobian of the substitution amplifies the Monte Carlo noise of the
-    large-t nodes by (1+t)^2 while the statistic's noise decays only like
-    1/t, so a pilot pass measures each node's contribution and the rest of
-    the budget (nodes * count in total) is allocated proportionally.  The
-    pilot is the whole budget up to 4 * _MIN_NODE_COUNT draws, and never
-    more than one chunk: node j's pilot is chunk 0 of stream j, and its
-    main pass draws from stream 100_000 + j, so no chunk stream is drawn twice.
-    Returns the value, its Monte Carlo stderr and the draws made.
+    Node j's I(X_t) is :func:`fisher_decomposed` of the smoothed law on
+    stream 100_000 + j of ``seed``, which below 100,000 chunks per node meets
+    no other node's chunks.  Where it draws, it draws the node's share of
+    ``nodes * count`` from :func:`_node_counts`.  Returns the value, its
+    stderr (the node errors in quadrature) and the draws made.
     """
     n = mix.dim
     u, w = _gl_unit_interval(nodes)
     t = u / (1.0 - u)
     jac = w / (1.0 - u) ** 2
-    laws = [convolve_isotropic(mix, tj) for tj in t]
-
-    pilot_count = count
-    if count > 4 * _MIN_NODE_COUNT:
-        pilot_count = min(CHUNK_SIZE, max(_MIN_NODE_COUNT, count // _PILOT_FRACTION))
-    pilots = [fisher_mc(law, pilot_count, split_seed(seed, j)) for j, law in enumerate(laws)]
-    estimates = pilots
-    if pilot_count < count:
-        weight = jac * np.array([fe.stderr for fe in pilots]) * math.sqrt(pilot_count)
-        remaining = nodes * (count - pilot_count)
-        if weight.sum() <= 0.0:
-            alloc = np.full(nodes, remaining // nodes)
-        else:
-            alloc = np.maximum(
-                _MIN_NODE_COUNT, (remaining * weight / weight.sum()).astype(int)
-            )
-        estimates = [
-            _pool(pilots[j], fisher_mc(laws[j], int(alloc[j]), split_seed(seed, 100_000 + j)))
-            for j in range(nodes)
-        ]
-
-    total = 0.0
-    var = 0.0
-    for j, fe in enumerate(estimates):
+    counts = _node_counts(mix, t, jac, nodes * count)
+    total = var = 0.0
+    draws = 0
+    for j in range(nodes):
+        law = convolve_isotropic(mix, t[j])
+        fe = fisher_decomposed(law, int(counts[j]), split_seed(seed, 100_000 + j))
         total += jac[j] * (fe.value - n / (1.0 + t[j]))
         var += (jac[j] * fe.stderr) ** 2
+        draws += 0 if fe.method.startswith("quadrature") else fe.count
     value = 0.5 * n * _LOG_2PIE - 0.5 * total
-    return value, 0.5 * math.sqrt(var), sum(fe.count for fe in estimates)
+    return value, 0.5 * math.sqrt(var), draws
 
 
 def entropy_via_debruijn(mix, nodes=48, count=20000, seed=0):
     """Entropy from the Fisher-information integral along the smoothing path.
 
-    Gauss-Legendre in u = t/(1+t) with ``nodes`` points; each node estimates
-    I(X_t) with ``fisher_mc`` on its own split streams, with the total sample
-    budget allocated across nodes by their measured noise contributions.
-    The reported stderr combines the node-wise Monte Carlo errors (in
-    quadrature; the streams are independent) with the change from a
-    half-resolution evaluation, which equals the result of calling this
-    function at max(16, nodes // 2) nodes on the same seed.  At 16 nodes
-    that is the same sum, so the half-resolution term is absent there.
-    Its ``count`` is every draw made by the ``fisher_mc`` calls of both sums.
+    Gauss-Legendre in u = t/(1+t) with ``nodes`` >= 16 points; each node's
+    I(X_t) is exact wherever the structure rule converges, and a node that
+    draws takes its share of ``nodes * count`` draws (at least 100).  The
+    reported stderr combines the node errors in quadrature with the change
+    from the half-resolution sum at ``nodes // 2`` points on the same seed;
+    where no node draws, that change is the only error term besides the
+    node quadratures' own.  Its ``count`` is the draws made in both sums:
+    0 where every node is a quadrature.
     """
     nodes = int(nodes)
     if nodes < 16:
         raise ValueError(f"nodes: must be >= 16 (got {nodes})")
     count = int(count)
+    if count < _MIN_NODE_COUNT:
+        raise ValueError(f"count: must be >= {_MIN_NODE_COUNT} (got {count})")
     value, stderr, draws = _debruijn_sum(mix, nodes, count, seed)
-    half = max(16, nodes // 2)
-    if half < nodes:
-        value_half, _, half_draws = _debruijn_sum(mix, half, count, seed)
-        stderr = math.hypot(stderr, abs(value - value_half))
-        draws += half_draws
-    return Estimate(value, floored_stderr(stderr, value), "debruijn", draws)
+    value_half, _, half_draws = _debruijn_sum(mix, nodes // 2, count, seed)
+    stderr = math.hypot(stderr, abs(value - value_half))
+    return Estimate(value, floored_stderr(stderr, value), "debruijn", draws + half_draws)

@@ -559,7 +559,20 @@ class TestDebruijnCommand:
         payload = json.loads(text)
         reference = se.entropy_quadrature_2d(se.rotated_bimodal())
         assert payload["reference"] == json.loads(json.dumps(asdict(reference)))
-        assert payload["z"] == pytest.approx(0.3637, abs=1e-4)
+        est = payload["estimate"]
+        assert est["count"] == 0
+        assert abs(est["value"] - reference.value) <= math.hypot(est["stderr"], reference.stderr)
+
+    def test_narrow_gaussian_passes_by_the_half_resolution_sum(self, tmp_path):
+        # no node draws, so the change from the 8-node sum is the only error
+        # term: it must cover the 16-node rule's error on a narrow law
+        law_file = tmp_path / "narrow-gaussian.json"
+        law_file.write_text(se.mixture_to_json(se.gaussian_iid(1, 0.01)))
+        status, text = invoke(tmp_path, "debruijn", "--law", str(law_file), "--nodes", "16")
+        assert status == 0
+        payload = json.loads(text)
+        assert payload["estimate"]["count"] == 0
+        assert payload["estimate"]["stderr"] > 1e-3
 
     def test_far_narrow_pair_reference_exits_one(self, tmp_path):
         # the 2-D grid misses the peaks at +-100 and fails its mass certificate

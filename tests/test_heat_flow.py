@@ -44,40 +44,40 @@ class TestFisherPath:
             assert b.value <= a.value + 3 * math.hypot(a.stderr, b.stderr)
 
 
-class TestNodeFlow:
-    """The draws of one ``_debruijn_sum`` pass: pilots, then an allocated main pass."""
+def correlated_3d():
+    # one dependent block of three coordinates: every de Bruijn node draws
+    cov = [[1.0, 0.3, 0.2], [0.3, 1.0, 0.1], [0.2, 0.1, 1.0]]
+    return se.symmetrize(se.make_gaussian_mixture([(1.0, [1.0, 0.5, 0.25], cov)]))
 
-    def correlated_3d(self):
-        cov = [[1.0, 0.3, 0.2], [0.3, 1.0, 0.1], [0.2, 0.1, 1.0]]
-        return se.symmetrize(se.make_gaussian_mixture([(1.0, [1.0, 0.5, 0.25], cov)]))
+
+class TestNodeFlow:
+    """The nodes of one ``_debruijn_sum``: exact where the structure rule converges,
+    otherwise drawn by the closed-form split of the budget."""
 
     def test_no_chunk_stream_is_drawn_twice(self, stream_audit):
-        # pilots of 600_000 // 8 draws would span two chunks, and node j's
-        # chunk c would be node c's chunk j
+        # the nodes' shares of 16 * 600_000 draws span several chunks each
         stream_audit.draw = False
-        heat_flow._debruijn_sum(se.bimodal_1d(), 16, 600_000, 7)
-        assert [call[1] for call in stream_audit.calls[:16]] == [CHUNK_SIZE] * 16
+        heat_flow._debruijn_sum(correlated_3d(), 16, 600_000, 7)
+        assert max(call[1] for call in stream_audit.calls) > CHUNK_SIZE
         streams = stream_audit.streams()
         assert len(streams) == len(set(streams))
 
-    def test_main_pass_follows_the_pilot_stderrs(self, stream_audit):
-        heat_flow._debruijn_sum(self.correlated_3d(), 16, 2000, 3)
-        pilots, main = stream_audit.calls[:16], stream_audit.calls[16:]
-        assert [call[1] for call in pilots] == [250] * 16
-        assert [call[2] for call in pilots] == [split_seed(3, j) for j in range(16)]
-        assert [call[2] for call in main] == [split_seed(3, 100_000 + j) for j in range(16)]
+    def test_node_draws_follow_the_closed_form_split(self, stream_audit):
+        law = correlated_3d()
+        heat_flow._debruijn_sum(law, 16, 2000, 3)
+        calls = stream_audit.calls
+        assert [call[0] for call in calls] == ["mc_score"] * 16
+        assert [call[2] for call in calls] == [split_seed(3, 100_000 + j) for j in range(16)]
+        # the spread of |score|^2 of each Gaussian component of X_t, component by component
         u, w = heat_flow._gl_unit_interval(16)
-        weight = w / (1.0 - u) ** 2 * np.array([call[3].stderr for call in pilots])
-        share = 16 * (2000 - 250) * weight / weight.sum()
-        counts = np.array([call[1] for call in main])
-        assert np.all(np.abs(counts - np.maximum(100, share)) <= 1)
+        t = u / (1.0 - u)
+        eig = np.array([np.linalg.eigvalsh(cov) for cov in law.covs])
+        spread = np.sqrt(np.einsum("k,kij->j", law.weights, 1.0 / (eig[:, :, None] + t) ** 2))
+        share = w / (1.0 - u) ** 2 * spread
+        expected = np.maximum(100, np.floor(16 * 2000 * share / share.sum()))
+        counts = np.array([call[1] for call in calls])
+        assert np.all(np.abs(counts - expected) <= 1)
         assert len(set(counts)) > 1
-
-    def test_small_budget_is_all_pilot(self, stream_audit):
-        heat_flow._debruijn_sum(self.correlated_3d(), 16, 400, 3)
-        assert [call[1:3] for call in stream_audit.calls] == [
-            (400, split_seed(3, j)) for j in range(16)
-        ]
 
 
 class TestDeBruijnEntropy:
@@ -116,29 +116,53 @@ class TestDeBruijnEntropy:
         at32 = se.entropy_via_debruijn(law, nodes=32, count=10000, seed=5)
         assert abs(at64.value - at32.value) < at64.stderr
 
-    def test_sixteen_nodes_draw_one_sum(self, stream_audit):
-        # the half-resolution rule at 16 nodes is the same sum, so it is
-        # not drawn again and adds nothing to the stderr
+    def test_half_resolution_sum_is_at_half_the_nodes(self):
         law = se.bimodal_1d()
         est = se.entropy_via_debruijn(law, nodes=16, count=400, seed=2)
-        assert len(stream_audit.calls) == 16
-        value, stderr, draws = heat_flow._debruijn_sum(law, 16, 400, 2)
-        assert (est.value, est.stderr) == (value, floored_stderr(stderr, value))
-        assert est.count == draws == 16 * 400
+        value, stderr, _ = heat_flow._debruijn_sum(law, 16, 400, 2)
+        half, _, _ = heat_flow._debruijn_sum(law, 8, 400, 2)
+        assert est.value == value
+        assert est.stderr == floored_stderr(math.hypot(stderr, abs(value - half)), value)
 
-    @pytest.mark.parametrize("nodes, calls", [(16, 32), (24, 80), (48, 144)])
+    @pytest.mark.parametrize("nodes, calls", [(16, 24), (24, 36), (48, 72)])
     def test_count_is_every_draw(self, stream_audit, nodes, calls):
-        # a pilot and a main call per node, in the sum and, above 16 nodes, in
-        # the half-resolution sum; the allocation truncates, so the total is
-        # not a multiple of count
+        # a call per drawing node, in the sum and in the half-resolution sum;
+        # the split truncates, so the total is not a multiple of count
         stream_audit.draw = False
-        est = se.entropy_via_debruijn(se.bimodal_1d(), nodes=nodes, count=20000, seed=0)
+        est = se.entropy_via_debruijn(correlated_3d(), nodes=nodes, count=20000, seed=0)
         assert [call[0] for call in stream_audit.calls] == ["mc_score"] * calls
         assert est.count == sum(call[1] for call in stream_audit.calls)
+
+    @pytest.mark.parametrize(
+        "name", ["bimodal-product-n1", "rotated-bimodal", "gaussian-iid-n3", "bimodal-product-n3"]
+    )
+    def test_exact_nodes_draw_nothing(self, stream_audit, name):
+        # every node's structure rule converges: the estimate is a quadrature
+        # of quadratures, the same at any seed
+        law = se.builtin_law(name)
+        est = se.entropy_via_debruijn(law, nodes=16, count=2000, seed=0)
+        assert stream_audit.calls == []
+        assert est.count == 0
+        assert se.entropy_via_debruijn(law, nodes=16, count=2000, seed=7) == est
+
+    @pytest.mark.parametrize(
+        "law",
+        [se.bimodal_1d(100.0, 1e-6), se.bimodal_product(3, 100.0, 1e-6)],
+        ids=["n1", "n3"],
+    )
+    def test_far_narrow_law_has_no_finite_stderr(self, law):
+        # the least smoothed of the 48 nodes fails its mass certificate; the
+        # sum's finite part is far from the truths, -4.80 and -14.39
+        est = se.entropy_via_debruijn(law, count=2000, seed=0)
+        assert est.stderr == math.inf
 
     def test_node_floor(self):
         with pytest.raises(ValueError, match="nodes"):
             se.entropy_via_debruijn(se.gaussian_iid(1), nodes=8, count=1000, seed=0)
+
+    def test_count_floor(self):
+        with pytest.raises(ValueError, match="count"):
+            se.entropy_via_debruijn(se.gaussian_iid(1), nodes=16, count=99, seed=0)
 
     def test_deterministic(self):
         law = se.bimodal_1d()

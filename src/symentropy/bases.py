@@ -67,7 +67,6 @@ class ProofBasisFamily:
     n: int
     v: np.ndarray  # columns are the sign-vertex vectors
     bases: tuple
-    rotations: tuple
 
 
 def gram_schmidt(vectors):
@@ -114,9 +113,7 @@ def proof_basis_family(n):
     for i in range(1, n):
         orders.append([i] + [j for j in range(n) if j != i])
     bases = tuple(gram_schmidt([v[:, j] for j in order]) for order in orders)
-    a1 = bases[0].matrix
-    rotations = tuple(a1.T @ b.matrix for b in bases)
-    return ProofBasisFamily(n=n, v=v, bases=bases, rotations=rotations)
+    return ProofBasisFamily(n=n, v=v, bases=bases)
 
 
 def _sylvester_hadamard(n):

@@ -402,12 +402,12 @@ def projection_entropy(mix, directions):
     the exact 1-D mixture of :func:`line_laws`, and its entropy is the rule
     of :func:`entropy_quadrature_1d`: the same radius, nodes and refinement,
     applied to all rows at once.  The error names the first row whose norm
-    differs from 1 by more than 1e-10.
+    differs from 1 by more than 1e-10, or is not finite.
     """
     directions = np.asarray(directions, dtype=float)
     if directions.ndim == 2:  # line_laws rejects any other shape
         norms = np.linalg.norm(directions, axis=1)
-        off = np.flatnonzero(np.abs(norms - 1.0) > 1e-10)
+        off = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-10))  # NaN is off too
         if off.size:
             raise NotUnitVectorError(
                 f"directions row {off[0]}: norm {norms[off[0]]} differs from 1 by > 1e-10"

@@ -186,7 +186,7 @@ def verify_directional(mix, a, budget=Budget()):
     """
     a = np.asarray(a, dtype=float)
     norm = float(np.linalg.norm(a))
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:  # NaN fails too
         raise NotUnitVectorError(f"direction: norm {norm} differs from 1 by > 1e-10")
     [lhs], hx = _entropies(mix, a[None, :], budget)
     [offsets] = _directional_offsets(a[None, :])

@@ -430,10 +430,9 @@ def line_laws(mix, directions):
     variances = np.einsum("kdi,di->dk", directions @ mix.covs, directions)
     _check_variance_floor(variances)
     means = directions @ mix.means.T
-    _, first, label = _label_rows(np.concatenate([means, variances]).T + 0.0)
-    kept = np.bincount(first, minlength=len(label)) > 0  # first appearances, in order
-    weights = np.bincount((np.cumsum(kept) - 1)[first[label]], weights=mix.weights)
-    return weights / mix.weights.sum(), means[:, kept], variances[:, kept]
+    first, label = _first_rows(np.concatenate([means, variances]).T + 0.0)
+    weights = np.bincount(label, weights=mix.weights)
+    return weights / mix.weights.sum(), means[:, first], variances[:, first]
 
 
 def convolve_isotropic(mix, t):
@@ -457,41 +456,37 @@ def _rounded(a):
 def symmetrize(mix):
     """Project a mixture onto the sign-symmetric class.
 
-    Averages the 2^n coordinate sign reflections of every component and
-    merges reflected duplicates by (mean, cov) fingerprint, so symmetric
-    inputs are fixed points at the merge rounding: their means and
-    covariances come back unchanged, and their weights can move in the last
-    bits.  Mean coordinates that round to 0 at the merge rounding are set
-    to 0 first, and each merged component keeps the first reflection of
-    its orbit, so the output's means are exact mirror images.  Reflected
-    covariances with the same rounded fingerprint share the first such
-    array, so rounding residues do not split the output into more
-    covariance groups.  Guarded to n <= 12 because the component count
-    multiplies by up to 2^n.
+    Averaging over the 2^n coordinate sign reflections is the product of the
+    single-flip averages ``(I + S_i) / 2``, as the flips commute.  So for each
+    i in turn, every component is followed by its ``S_i`` image, both at half
+    the weight, and components equal at :func:`_rounded` merge, their weights
+    summed: the first in (component, sign pattern) order stays, coordinate 0's
+    sign varying slowest.  Mean coordinates that round to 0 are set to 0
+    first, so the output's means are exact mirror images.  Covariances equal
+    at the rounding then share the first such array, so residues do not split
+    the covariance groups, and the components are sorted by their rounded
+    ``[mean | cov]`` rows.  A symmetric input comes back with the same
+    components, its weights moved at most in the last bits.  Guarded to
+    n <= 12 because the output can hold 2^n components per input component.
     """
     n = mix.dim
     if n > _SYMMETRIZE_MAX_DIM:
         raise DimensionTooLargeError(
-            f"dim {n} > {_SYMMETRIZE_MAX_DIM}: reflection count 2^n is too large"
+            f"dim {n} > {_SYMMETRIZE_MAX_DIM}: the output can hold 2^n components per input one"
         )
-    merged = {}
-    covs = {}
-    scale = 1.0 / (1 << n)
-    for w, mu, cov in zip(mix.weights, mix.means, mix.covs):
-        mu = np.where(_rounded(mu) == 0.0, 0.0, mu)
-        for signs in itertools.product((1.0, -1.0), repeat=n):
-            s = np.asarray(signs)
-            mean_r = s * mu
-            cov_r = cov * np.outer(s, s)
-            cov_key = tuple(_rounded(cov_r).ravel().tolist())
-            cov_r = covs.setdefault(cov_key, cov_r)
-            key = tuple(_rounded(mean_r).tolist()) + cov_key
-            if key in merged:
-                merged[key][0] += w * scale
-            else:
-                merged[key] = [w * scale, mean_r, cov_r]
-    items = sorted(merged.items(), key=lambda kv: kv[0])
-    return make_gaussian_mixture([(w, m, c) for w, m, c in (v for _, v in items)])
+    weights, covs = mix.weights, mix.covs
+    means = np.where(_rounded(mix.means) == 0.0, 0.0, mix.means)
+    for flip in 1.0 - 2.0 * np.eye(n):  # row i is the diagonal of S_i
+        weights = np.repeat(0.5 * weights, 2)
+        means = np.stack([means, means * flip], axis=1).reshape(-1, n)
+        covs = np.stack([covs, covs * np.outer(flip, flip)], axis=1).reshape(-1, n, n)
+        table = _rounded(np.column_stack([means, covs.reshape(-1, n * n)]))
+        first, label = _first_rows(table)
+        weights = np.bincount(label, weights=weights)
+        means, covs, table = means[first], covs[first], table[first]
+    first, label = _first_rows(table[:, n:])
+    order = np.lexsort(table.T[::-1])
+    return _checked_mixture(weights[order], means[order], covs[first][label][order])
 
 
 def coordinate_marginals(mix):
@@ -570,6 +565,14 @@ def _label_rows(table):
         table.view(row).ravel(), return_index=True, return_inverse=True
     )
     return keys, first, label.reshape(-1)
+
+
+def _first_rows(table):
+    """:func:`_label_rows` renumbered by first appearance: ``(first, label)``, each
+    distinct row's first index, ascending, and each row's index into ``first``."""
+    _, first, label = _label_rows(table)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[label]
 
 
 def check_symmetry(mix):
@@ -712,10 +715,9 @@ def mixture_from_json(text):
     obj = json.loads(text)
     components = [(c["weight"], c["mean"], c["cov"]) for c in obj["components"]]
     mix = make_gaussian_mixture(components)
-    if mix.dim != int(obj["dim"]):
-        raise DimensionMismatchError(
-            f"declared dim {obj['dim']} != component dim {mix.dim}"
-        )
+    dim = obj["dim"]
+    if type(dim) is not int or dim != mix.dim:  # a JSON integer, not a bool
+        raise DimensionMismatchError(f"declared dim {dim!r} is not the component dim {mix.dim}")
     return mix
 
 

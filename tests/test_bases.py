@@ -86,7 +86,7 @@ class TestProofBasisFamily:
             assert np.allclose(a[:, 0], fam.v[:, i], atol=1e-12)
             if i + 1 < n:
                 assert np.max(np.abs(a[:, i + 1:] - a1[:, i + 1:])) <= 1e-12
-            r = fam.rotations[i]
+            r = a1.T @ a
             assert np.allclose(a1 @ r, a, atol=1e-12)
             tail = n - (i + 1)
             if tail > 0:
@@ -96,7 +96,7 @@ class TestProofBasisFamily:
 
     def test_n3_second_rotation_block_structure(self):
         fam = se.proof_basis_family(3)
-        r2 = fam.rotations[1]
+        r2 = fam.bases[0].matrix.T @ fam.bases[1].matrix
         # 2x2 rotation block plus a 1x1 identity
         assert r2[2, 2] == pytest.approx(1.0, abs=1e-12)
         block = r2[:2, :2]

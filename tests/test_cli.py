@@ -152,6 +152,10 @@ BAD_LAWS = {
     "builtin:bimodal-product-n0": None,
     "builtin:gaussian-iid-n0": None,
     "builtin:gaussian-iid-n513": None,
+    # dim must be a JSON integer, not a bool, a float or a string
+    "dim-true": '{"dim": true, "components": [{"weight": 1.0, "mean": [0.0], "cov": [[1.0]]}]}',
+    "dim-float": '{"dim": 1.9, "components": [{"weight": 1.0, "mean": [0.0], "cov": [[1.0]]}]}',
+    "dim-string": '{"dim": "1", "components": [{"weight": 1.0, "mean": [0.0], "cov": [[1.0]]}]}',
     "dim-overflow": '{"dim": 1e400, "components": [{"weight": 1.0, "mean": [0.0], "cov": [[1.0]]}]}',
     "dim-513": json.dumps(
         {

@@ -513,6 +513,10 @@ class TestProjectionEntropy:
         with pytest.raises(se.NotUnitVectorError, match="row 2"):
             se.projection_entropy(se.gaussian_iid(2), rows)
 
+    def test_nan_row_is_not_a_unit_row(self):
+        with pytest.raises(se.NotUnitVectorError, match="row 0: norm nan"):
+            se.projection_entropy(se.gaussian_iid(3), np.array([[math.nan, 0.6, 0.8]]))
+
 
 def _full_rule(monkeypatch):
     # every law runs the unfolded rule over its whole range

@@ -128,6 +128,10 @@ class TestVerifyDirectional:
         with pytest.raises(se.NotUnitVectorError):
             se.verify_directional(se.gaussian_iid(2), np.array([1.0, 1.0]), BUDGET)
 
+    def test_rejects_nan_direction(self):
+        with pytest.raises(se.NotUnitVectorError, match="norm nan"):
+            se.verify_directional(se.gaussian_iid(3), np.array([math.nan, 0.6, 0.8]), BUDGET)
+
 
 class TestVerifyKdim:
     def test_gaussian_hadamard_equality(self):

@@ -576,10 +576,17 @@ class TestSymmetrize:
         assert np.allclose(out.weights, [0.5, 0.5])
         assert np.allclose(np.sort(out.means.ravel()), [-2.0, 2.0])
 
-    def test_symmetric_law_is_fixed_point(self):
-        law = se.bimodal_1d()
+    @pytest.mark.parametrize(
+        "law", [se.bimodal_1d(), se.bimodal_product(8)], ids=["bimodal-1d", "bimodal-product-n8"]
+    )
+    def test_symmetric_law_is_fixed_point(self, law):
         out = se.symmetrize(law)
-        assert out.n_components == 2
+        # the same components, in any order
+        rows = [
+            np.column_stack([m.weights, m.means, m.covs.reshape(m.n_components, -1)])
+            for m in (law, out)
+        ]
+        assert np.array_equal(*(r[np.lexsort(r.T)] for r in rows))
         again = se.symmetrize(out)
         assert np.array_equal(out.weights, again.weights)
         assert np.array_equal(out.means, again.means)

@@ -3,12 +3,13 @@ the per-component algorithms it replaced, and ``bases.gram_schmidt`` against
 the column loop it replaced.
 
 Each reference below is the earlier implementation, kept verbatim apart from
-names: one pass per component or per coordinate, with no merging of equal
-values.  The library must agree with it bit for bit (arrays compared as
-bytes, so ``-0.0`` and ``0.0`` differ), or raise the same error class with
-the same message.  The exception is Gram-Schmidt: Householder QR and the
-modified Gram-Schmidt loop round differently, so their Q factors agree to
-1e-13 on well-conditioned inputs and by about cond * eps beyond.
+names: one pass per component, coordinate or sign reflection.  The library
+must agree with it bit for bit (arrays compared as bytes, so ``-0.0`` and
+``0.0`` differ), or raise the same error class with the same message.  There
+are two exceptions.  ``symmetrize`` sums each merged weight in another order,
+so its weights agree to a few ulp.  Householder QR and the modified
+Gram-Schmidt loop round differently, so their Q factors agree to 1e-13 on
+well-conditioned inputs and by about cond * eps beyond.
 """
 
 import itertools
@@ -20,6 +21,7 @@ import pytest
 import symentropy as se
 from symentropy import mixtures
 from symentropy.bases import _DEP_TOL
+from symentropy.estimators import _point_symmetric
 from symentropy.errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -126,6 +128,29 @@ def reference_line_laws(mix, directions):
     return mix.weights / mix.weights.sum(), directions @ mix.means.T, variances
 
 
+def reference_symmetrize(mix):
+    # merges the 2^n reflections of every component in one dict
+    n = mix.dim
+    merged = {}
+    covs = {}
+    scale = 1.0 / (1 << n)
+    for w, mu, cov in zip(mix.weights, mix.means, mix.covs):
+        mu = np.where(_rounded(mu) == 0.0, 0.0, mu)
+        for signs in itertools.product((1.0, -1.0), repeat=n):
+            s = np.asarray(signs)
+            mean_r = s * mu
+            cov_r = cov * np.outer(s, s)
+            cov_key = tuple(_rounded(cov_r).ravel().tolist())
+            cov_r = covs.setdefault(cov_key, cov_r)
+            key = tuple(_rounded(mean_r).tolist()) + cov_key
+            if key in merged:
+                merged[key][0] += w * scale
+            else:
+                merged[key] = [w * scale, mean_r, cov_r]
+    items = sorted(merged.items(), key=lambda kv: kv[0])
+    return se.make_gaussian_mixture([(w, m, c) for w, m, c in (v for _, v in items)])
+
+
 # --- the laws ---------------------------------------------------------------
 
 BUILTINS = [
@@ -217,6 +242,19 @@ NEGLIGIBLE_MISSING_COMBINATION = se.make_gaussian_mixture(
     ]
 )
 
+
+def _generic_12d():
+    # a diagonal and a generic covariance: 1 + 2^11 reflected covariances
+    rng = np.random.default_rng(1)
+    q = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+    return se.make_gaussian_mixture(
+        [
+            (0.3, rng.uniform(-2.0, 2.0, 12), np.eye(12)),
+            (0.7, rng.uniform(-2.0, 2.0, 12), q @ np.diag(rng.uniform(0.5, 2.0, 12)) @ q.T),
+        ]
+    )
+
+
 LAWS = {
     **{name: se.builtin_law(name) for name in BUILTINS},
     **{f"product-{seed}": random_product(seed) for seed in range(60)},
@@ -227,6 +265,7 @@ LAWS = {
     "symmetrized-correlated-groups": se.symmetrize(_correlated_groups()),
     **SIGNED_ZERO_LAWS,
     "negligible-missing-combination": NEGLIGIBLE_MISSING_COMBINATION,
+    "generic-12d": _generic_12d(),
 }
 
 
@@ -348,6 +387,25 @@ def test_scan_rows_of_a_law_without_ties_are_unmerged():
     grid /= np.linalg.norm(grid, axis=1, keepdims=True)
     got, want = mixtures.line_laws(law, grid), reference_line_laws(law, grid)
     assert all(_same_arrays(a, b) for a, b in zip(got, want))
+
+
+def test_symmetrize_matches_reference():
+    for name, law in LAWS.items():
+        if law.dim > mixtures._SYMMETRIZE_MAX_DIM:
+            continue
+        got, want = se.symmetrize(law), reference_symmetrize(law)
+        for field in ("means", "covs", "_heads"):
+            assert _same_arrays(getattr(got, field), getattr(want, field)), (name, field)
+        ulps = np.abs(got.weights.view(np.int64) - want.weights.view(np.int64))
+        assert ulps.max() <= 8, name
+        assert _point_symmetric(got), name
+
+
+def test_symmetrize_generic_12d_law():
+    out = se.symmetrize(LAWS["generic-12d"])
+    assert out.n_components == 2 * 2**12
+    assert len(out._heads) == 1 + 2**11
+    assert se.check_symmetry(out).verdict
 
 
 PRODUCT_ARGS = [

@@ -28,7 +28,7 @@ class RankDeficientError(SymentropyError):
 
 
 class NegativeTimeError(SymentropyError):
-    """Gaussian smoothing time must be nonnegative."""
+    """Gaussian smoothing time must be finite and nonnegative."""
 
 
 class DimensionTooLargeError(SymentropyError):

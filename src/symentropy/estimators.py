@@ -496,18 +496,14 @@ _KNN_FOLDS = 10
 
 
 def _deduplicate(x):
-    _, inverse, counts = np.unique(x, axis=0, return_inverse=True, return_counts=True)
-    if np.all(counts == 1):
+    # every row after the first copy of its value gets jitter, drawn in row order
+    later = np.ones(x.shape[0], dtype=bool)
+    later[np.unique(x, axis=0, return_index=True)[1]] = False
+    if not later.any():
         return x
     x = x.copy()
     rng = np.random.default_rng(0xD1CE)
-    seen = set()
-    for row, group in enumerate(inverse):
-        g = int(group)
-        if counts[g] > 1:
-            if g in seen:
-                x[row] += _JITTER * rng.standard_normal(x.shape[1])
-            seen.add(g)
+    x[later] += _JITTER * rng.standard_normal((int(later.sum()), x.shape[1]))
     return x
 
 
@@ -585,19 +581,18 @@ class ScoreProjectionReport:
 
 
 def _conditional_parts(mix, a):
-    # Per-component conditionals of X given Y = A X: gain and a PSD factor of
-    # the conditional covariance (eigenvalues below the floor are treated as
-    # exact zeros so degenerate conditioning stays exact).
-    parts = []
-    for cov in mix.covs:
-        gain = np.linalg.solve(a @ cov @ a.T, a @ cov).T
-        cond_cov = cov - gain @ (a @ cov)
-        eigval, eigvec = np.linalg.eigh(0.5 * (cond_cov + cond_cov.T))
-        floor = 1e-12 * max(1.0, float(eigval[-1]))
-        eigval = np.where(eigval < floor, 0.0, eigval)
-        factor = eigvec * np.sqrt(eigval)
-        parts.append((gain, factor))
-    return parts
+    # Per-component conditionals of X given Y = A X, found once per distinct
+    # covariance: gains and PSD factors of the conditional covariances
+    # (eigenvalues below the floor are treated as exact zeros so degenerate
+    # conditioning stays exact).
+    covs = mix.covs[mix._heads]
+    projected = a @ covs
+    solved = np.linalg.solve(projected @ a.T, projected)
+    cond_covs = covs - solved.transpose(0, 2, 1) @ projected
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (cond_covs + cond_covs.transpose(0, 2, 1)))
+    floors = 1e-12 * np.maximum(1.0, eigvals[:, -1:])
+    factors = eigvecs * np.sqrt(np.where(eigvals < floors, 0.0, eigvals))[:, None, :]
+    return solved[mix._group_of].transpose(0, 2, 1), factors[mix._group_of]
 
 
 def score_projection_residual(mix, a, probes=16, count=4096, seed=0):
@@ -621,13 +616,12 @@ def score_projection_residual(mix, a, probes=16, count=4096, seed=0):
     ys = y_mix.sample(int(probes), seed)
     lhs_all = y_mix.score(ys)
     posts = y_mix.responsibilities(ys)
-    parts = _conditional_parts(mix, a)
+    gains, factors = _conditional_parts(mix, a)
 
     residuals, stderrs = [], []
     for p_idx, (y, lhs, post) in enumerate(zip(ys, lhs_all, posts)):
         if mix.n_components == 1:
-            gain, _ = parts[0]
-            cond_mean = mix.means[0] + gain @ (y - a @ mix.means[0])
+            cond_mean = mix.means[0] + gains[0] @ (y - a @ mix.means[0])
             rhs = a @ mix.score(cond_mean)
             se = 0.0
         else:
@@ -638,9 +632,8 @@ def score_projection_residual(mix, a, probes=16, count=4096, seed=0):
             for m in range(mix.n_components):
                 mask = comp == m
                 if np.any(mask):
-                    gain, factor = parts[m]
-                    cond_mean = mix.means[m] + gain @ (y - a @ mix.means[m])
-                    x[mask] = cond_mean + z[mask] @ factor.T
+                    cond_mean = mix.means[m] + gains[m] @ (y - a @ mix.means[m])
+                    x[mask] = cond_mean + z[mask] @ factors[m].T
             s = np.asarray(mix.score(x)) @ a.T
             rhs = s.mean(axis=0)
             se = float(np.linalg.norm(s.std(axis=0, ddof=1) / math.sqrt(s.shape[0])))

@@ -37,11 +37,10 @@ def _node_counts(mix, t, jac, budget):
     is its Jacobian times the root of the weight-averaged sum, taken once per
     distinct covariance; no node draws fewer than 100.
     """
-    spread = np.zeros_like(t)
     group_weights = np.bincount(mix._group_of, weights=mix.weights)
-    for cov, weight in zip(mix.covs[mix._heads], group_weights):
-        spread += weight * (1.0 / (np.linalg.eigvalsh(cov)[:, None] + t) ** 2).sum(axis=0)
-    share = jac * np.sqrt(spread)
+    eigvals = np.linalg.eigvalsh(mix.covs[mix._heads])[:, :, None]  # (G, n, 1)
+    spread = group_weights[:, None] * (1.0 / (eigvals + t) ** 2).sum(axis=1)
+    share = jac * np.sqrt(spread.sum(axis=0))
     return np.maximum(_MIN_NODE_COUNT, (budget * share / share.sum()).astype(int))
 
 

@@ -118,30 +118,24 @@ class GaussianMixture:
     def _kernel(self):
         # one _Group per covariance group; threads that race here build equal tables
         order = np.argsort(self._group_of, kind="stable")  # the kernel's row order
-        half_log_2pi = 0.5 * self.dim * np.log(2.0 * np.pi)
+        chols = np.linalg.cholesky(self.covs[self._heads])
+        whitens = np.linalg.inv(chols)
+        log_norms = np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+        log_norms += 0.5 * self.dim * np.log(2.0 * np.pi)
+        stops = np.cumsum(np.bincount(self._group_of)).tolist()
         groups, start = [], 0
-        for stop in np.cumsum(np.bincount(self._group_of)).tolist():
+        for chol, whiten, log_norm, stop in zip(chols, whitens, log_norms.tolist(), stops):
             members = order[start:stop]
-            chol = np.linalg.cholesky(self.covs[members[0]])
-            whiten = np.linalg.inv(chol)
             white_means = (self.means[members] - self._center) @ whiten.T
             consts = (
                 np.log(self.weights[members])
                 - 0.5 * np.einsum("ij,ij->i", white_means, white_means)
-                - (float(np.log(chol.diagonal()).sum()) + half_log_2pi)
+                - log_norm
             )
             terms = np.column_stack([white_means, consts])
             groups.append(_Group(slice(start, stop), chol, whiten, terms))
             start = stop
         return groups
-
-    @property
-    def components(self):
-        """Components as a list of ``(weight, mean, cov)`` triples."""
-        return [
-            (float(w), self.means[k].copy(), self.covs[k].copy())
-            for k, w in enumerate(self.weights)
-        ]
 
     def _as_batch(self, x):
         x = np.asarray(x, dtype=float)
@@ -252,12 +246,10 @@ class GaussianMixture:
 
     def covariance(self):
         """Covariance matrix of the mixture law."""
-        mean = self.weights @ self.means
-        cov = np.zeros((self.dim, self.dim))
-        for k in range(self.n_components):
-            d = self.means[k] - mean
-            cov += self.weights[k] * (self.covs[k] + np.outer(d, d))
-        return cov
+        group_weights = np.bincount(self._group_of, weights=self.weights)
+        # sum_k w_k d_k d_k^T as one product A^T A, which comes out exactly symmetric
+        spread = (self.means - self._center) * np.sqrt(self.weights)[:, None]
+        return np.tensordot(group_weights, self.covs[self._heads], axes=1) + spread.T @ spread
 
     def __repr__(self):
         return f"GaussianMixture(dim={self.dim}, n_components={self.n_components})"
@@ -377,11 +369,16 @@ def _checked_mixture(weights, means, covs):
     mix = GaussianMixture(weights / total, means, 0.5 * (covs + covs.transpose(0, 2, 1)))
     heads = mix.covs[mix._heads]  # one per distinct covariance
     _check_variance_floor(np.linalg.eigvalsh(heads)[:, 0][mix._group_of])
-    for k, cov in zip(mix._heads.tolist(), heads):  # eigvalsh may pass what cannot factor
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefiniteError(f"component {k}: cov has no Cholesky factor") from None
+    try:  # eigvalsh may pass what cannot factor
+        np.linalg.cholesky(heads)
+    except np.linalg.LinAlgError:
+        for k, cov in zip(mix._heads.tolist(), heads):  # name the first that fails
+            try:
+                np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefiniteError(
+                    f"component {k}: cov has no Cholesky factor"
+                ) from None
     return mix
 
 
@@ -405,7 +402,8 @@ def push_forward_linear(mix, matrix):
     # one A mu_k product per component, so each mean rounds as a lone
     # matrix-vector product would; the result is C-contiguous
     means = np.matmul(matrix, mix.means[:, :, None])[:, :, 0]
-    return _checked_mixture(mix.weights, means, matrix @ mix.covs @ matrix.T)
+    covs = matrix @ mix.covs[mix._heads] @ matrix.T  # once per distinct covariance
+    return _checked_mixture(mix.weights, means, covs[mix._group_of])
 
 
 def line_laws(mix, directions):
@@ -427,7 +425,9 @@ def line_laws(mix, directions):
             f"directions: expected a 2-D block of rows of length {mix.dim} "
             f"(got shape {directions.shape})"
         )
-    variances = np.einsum("kdi,di->dk", directions @ mix.covs, directions)
+    # (G, D, n): each distinct covariance is transformed once
+    spread = directions @ mix.covs[mix._heads]
+    variances = np.einsum("gdi,di->dg", spread, directions)[:, mix._group_of]
     _check_variance_floor(variances)
     means = directions @ mix.means.T
     first, label = _first_rows(np.concatenate([means, variances]).T + 0.0)
@@ -436,10 +436,10 @@ def line_laws(mix, directions):
 
 
 def convolve_isotropic(mix, t):
-    """Law of ``X + sqrt(t) Z`` with ``Z`` standard normal: covs become ``cov + t I``."""
+    """Law of ``X + sqrt(t) Z``, ``Z`` standard normal, finite ``t >= 0``: covs gain ``t I``."""
     t = float(t)
-    if t < 0.0:
-        raise NegativeTimeError(f"t: must be >= 0 (got {t})")
+    if not 0.0 <= t < math.inf:
+        raise NegativeTimeError(f"t: must be finite and >= 0 (got {t})")
     covs = mix.covs + t * np.eye(mix.dim) if t != 0.0 else mix.covs.copy()
     return GaussianMixture(mix.weights.copy(), mix.means.copy(), covs)
 
@@ -711,9 +711,17 @@ def mixture_to_json(mix):
 
 
 def mixture_from_json(text):
-    """Parse a mixture specification written by :func:`mixture_to_json`."""
+    """Parse a mixture written by :func:`mixture_to_json`.  Every weight, mean
+    and covariance entry must be a JSON number (int or float, not bool)."""
     obj = json.loads(text)
     components = [(c["weight"], c["mean"], c["cov"]) for c in obj["components"]]
+    values = [components]  # opened list by list down to the numbers
+    while values:
+        value = values.pop()
+        if isinstance(value, (list, tuple)):
+            values.extend(value[::-1])
+        elif type(value) not in (int, float):
+            raise TypeError(f"mixture values must be JSON numbers (got {value!r})")
     mix = make_gaussian_mixture(components)
     dim = obj["dim"]
     if type(dim) is not int or dim != mix.dim:  # a JSON integer, not a bool

@@ -170,6 +170,19 @@ BAD_LAWS = {
     "no-cholesky": json.dumps(
         {"dim": 3, "components": [{"weight": 1.0, "mean": [0.0] * 3, "cov": NO_CHOLESKY}]}
     ),
+    # every weight, mean and covariance entry must be a JSON number
+    "weight-string": '{"dim": 1, "components": [{"weight": "1.0", "mean": [0.0], "cov": [[1.0]]}]}',
+    "weight-bool": '{"dim": 1, "components": [{"weight": true, "mean": [0.0], "cov": [[1.0]]}]}',
+    "cov-bool": '{"dim": 1, "components": [{"weight": 1.0, "mean": [0.0], "cov": [[true]]}]}',
+    "mean-strings": json.dumps(
+        {
+            "dim": 1,
+            "components": [
+                {"weight": 0.5, "mean": [m], "cov": [[1.0]]} for m in ("-1", "1")
+            ],
+        }
+    ),
+    "mean-null": '{"dim": 1, "components": [{"weight": 1.0, "mean": [null], "cov": [[1.0]]}]}',
     "ragged-cov": '{"dim": 2, "components": [{"weight": 1.0, "mean": [0.0, 0.0], "cov": [[1.0], [0.0, 1.0]]}]}',
     "cov-shape": '{"dim": 2, "components": [{"weight": 1.0, "mean": [0.0, 0.0], "cov": [[1.0]]}]}',
     # each weight is finite, but their sum overflows

@@ -920,9 +920,9 @@ class TestScoreProjection:
             components.append((1.0, rng.standard_normal(4), b @ b.T + 0.3 * np.eye(4)))
         law = se.make_gaussian_mixture(components)
         a = np.linalg.qr(rng.standard_normal((4, 2)))[0].T
-        parts = estimators._conditional_parts(law, a)
-        assert len(parts) == len(law._heads) == 3
-        for cov, (gain, _) in zip(law.covs, parts):
+        gains, _ = estimators._conditional_parts(law, a)
+        assert len(gains) == len(law._heads) == 3
+        for cov, gain in zip(law.covs, gains):
             chol = np.linalg.cholesky(a @ cov @ a.T)
             want = cho_solve((chol, True), a @ cov).T
             assert np.max(np.abs(gain - want)) <= 1e-12 * np.max(np.abs(want))

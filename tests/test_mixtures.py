@@ -115,7 +115,7 @@ class TestConstruction:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        built = se.make_gaussian_mixture(law.components)
+        built = se.make_gaussian_mixture(list(zip(law.weights, law.means, law.covs)))
         assert blocks == [1] and law.n_components == 256
         assert np.array_equal(built.covs, law.covs)
 
@@ -188,13 +188,13 @@ def _oracle(law, x):
     log_terms = np.column_stack(
         [
             np.log(w) + multivariate_normal.logpdf(x, mean=mu, cov=cov)
-            for w, mu, cov in law.components
+            for w, mu, cov in zip(law.weights, law.means, law.covs)
         ]
     ).reshape(x.shape[0], law.n_components)
     log_f = logsumexp(log_terms, axis=1)
     resp = np.exp(log_terms - log_f[:, None])
     score = np.zeros_like(x)
-    for k, (_, mu, cov) in enumerate(law.components):
+    for k, (_, mu, cov) in enumerate(zip(law.weights, law.means, law.covs)):
         score -= resp[:, k, None] * np.linalg.solve(cov, (x - mu).T).T
     return log_f, resp, score
 
@@ -224,7 +224,7 @@ def _reference_sample(law, count, seed):
 
 def _shifted(law, offset):
     return se.make_gaussian_mixture(
-        [(w, mu + offset, cov) for w, mu, cov in law.components]
+        [(w, mu + offset, cov) for w, mu, cov in zip(law.weights, law.means, law.covs)]
     )
 
 
@@ -383,7 +383,7 @@ class TestKernelOnFirstUse:
 
     @pytest.mark.parametrize("law", LAWS)
     def test_construction_and_tables_build_nothing(self, law, kernel_builds):
-        fresh = se.make_gaussian_mixture(law.components)
+        fresh = se.make_gaussian_mixture(list(zip(law.weights, law.means, law.covs)))
         se.check_symmetry(fresh)
         se.coordinate_marginals(fresh)
         mixtures.line_laws(fresh, np.eye(fresh.dim))
@@ -484,7 +484,8 @@ class TestCoordinateMarginals:
         assert se.coordinate_marginals(se.correlated_gaussian(0.5))[1] == ((0, 1),)
 
     def test_moved_weight_breaks_product(self):
-        components = se.bimodal_product(3).components
+        law = se.bimodal_product(3)
+        components = list(zip(law.weights, law.means, law.covs))
         w, mean, cov = components[0]
         components[0] = (w + 1e-6, mean, cov)
         # no coordinate and no pair is independent of the rest any more
@@ -556,9 +557,10 @@ class TestConvolve:
         assert np.allclose(out.covs[:, 0, 0], 4.0)
         assert np.allclose(np.sort(out.means.ravel()), [-2.0, 2.0])
 
-    def test_negative_time(self):
-        with pytest.raises(se.NegativeTimeError):
-            se.convolve_isotropic(se.gaussian_iid(1), -0.5)
+    @pytest.mark.parametrize("t", [-0.5, math.nan, math.inf])
+    def test_negative_time(self, t):
+        with pytest.raises(se.NegativeTimeError, match="finite and >= 0"):
+            se.convolve_isotropic(se.gaussian_iid(1), t)
 
     @settings(max_examples=20, deadline=None)
     @given(small_mixtures(), st.floats(0.0, 3.0), st.floats(0.0, 3.0))
@@ -621,7 +623,7 @@ class TestSymmetrize:
 def _merged_components(law):
     """{(rounded mean, rounded cov): rounded summed weight} of a mixture."""
     merged = {}
-    for w, mean, cov in law.components:
+    for w, mean, cov in zip(law.weights, law.means, law.covs):
         key = tuple(_rounded(mean).tolist()) + tuple(_rounded(cov).ravel().tolist())
         merged[key] = merged.get(key, 0.0) + w
     return {key: float(_rounded(w)) for key, w in merged.items()}
@@ -703,8 +705,8 @@ def _product(first, second):
         [
             (wa * wb, np.concatenate([ma, mb]),
              np.block([[ca, np.zeros((n, m))], [np.zeros((m, n)), cb]]))
-            for wa, ma, ca in first.components
-            for wb, mb, cb in second.components
+            for wa, ma, ca in zip(first.weights, first.means, first.covs)
+            for wb, mb, cb in zip(second.weights, second.means, second.covs)
         ]
     )
 
@@ -749,8 +751,8 @@ class TestCheckIndependence:
     # partials of log f stay far below its 1e-5 tolerance.
     def test_moved_weight_breaks_independence(self):
         law = se.bimodal_product(2)
-        moved = [(w + (1e-9 if k == 0 else 0.0), m, c) for k, (w, m, c) in enumerate(law.components)]
-        moved = se.make_gaussian_mixture(moved)
+        weights = law.weights + np.array([1e-9, 0.0, 0.0, 0.0])
+        moved = se.make_gaussian_mixture(list(zip(weights, law.means, law.covs)))
         report = se.check_independence(moved, 0)
         assert not report.verdict
         assert report.max_cross_covariance == 0.0
@@ -760,9 +762,9 @@ class TestCheckIndependence:
     def test_small_cross_covariance_breaks_independence(self):
         law = se.bimodal_product(2)
         cov = np.array([[1.0, 1e-6], [1e-6, 1.0]])
-        bent = se.make_gaussian_mixture(
-            [(w, m, cov if k == 0 else c) for k, (w, m, c) in enumerate(law.components)]
-        )
+        covs = law.covs.copy()
+        covs[0] = cov
+        bent = se.make_gaussian_mixture(list(zip(law.weights, law.means, covs)))
         report = se.check_independence(bent, 0)
         assert not report.verdict
         assert report.max_cross_covariance == 1e-6

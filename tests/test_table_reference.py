@@ -3,13 +3,15 @@ the per-component algorithms it replaced, and ``bases.gram_schmidt`` against
 the column loop it replaced.
 
 Each reference below is the earlier implementation, kept verbatim apart from
-names: one pass per component, coordinate or sign reflection.  The library
-must agree with it bit for bit (arrays compared as bytes, so ``-0.0`` and
-``0.0`` differ), or raise the same error class with the same message.  There
-are two exceptions.  ``symmetrize`` sums each merged weight in another order,
-so its weights agree to a few ulp.  Householder QR and the modified
-Gram-Schmidt loop round differently, so their Q factors agree to 1e-13 on
-well-conditioned inputs and by about cond * eps beyond.
+names: one pass per component, covariance group, coordinate or sign
+reflection.  The library must agree with it bit for bit (arrays compared as
+bytes, so ``-0.0`` and ``0.0`` differ), or raise the same error class with the
+same message.  There are three exceptions.  ``symmetrize`` sums each merged
+weight in another order, so its weights agree to a few ulp, and so does
+``GaussianMixture.covariance``, which agrees to 2e-15 of its largest entry.
+Householder QR and the modified Gram-Schmidt loop round differently, so their
+Q factors agree to 1e-13 on well-conditioned inputs and by about cond * eps
+beyond.
 """
 
 import itertools
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 import symentropy as se
-from symentropy import mixtures
+from symentropy import estimators, heat_flow, mixtures
 from symentropy.bases import _DEP_TOL
 from symentropy.estimators import _point_symmetric
 from symentropy.errors import (
@@ -27,6 +29,7 @@ from symentropy.errors import (
     DimensionTooLargeError,
     EmptyMixtureError,
     LinearlyDependentError,
+    NotPositiveDefiniteError,
 )
 from symentropy.mixtures import MAX_DIM, _checked_mixture, _label_rows, _rounded
 
@@ -149,6 +152,63 @@ def reference_symmetrize(mix):
                 merged[key] = [w * scale, mean_r, cov_r]
     items = sorted(merged.items(), key=lambda kv: kv[0])
     return se.make_gaussian_mixture([(w, m, c) for w, m, c in (v for _, v in items)])
+
+
+def reference_push_forward_linear(mix, matrix):
+    means = np.matmul(matrix, mix.means[:, :, None])[:, :, 0]
+    return _checked_mixture(mix.weights, means, matrix @ mix.covs @ matrix.T)
+
+
+def reference_kernel(mix):
+    # factors and inverts each group's covariance in its own call
+    order = np.argsort(mix._group_of, kind="stable")
+    half_log_2pi = 0.5 * mix.dim * np.log(2.0 * np.pi)
+    groups, start = [], 0
+    for stop in np.cumsum(np.bincount(mix._group_of)).tolist():
+        members = order[start:stop]
+        chol = np.linalg.cholesky(mix.covs[members[0]])
+        whiten = np.linalg.inv(chol)
+        white_means = (mix.means[members] - mix._center) @ whiten.T
+        consts = (
+            np.log(mix.weights[members])
+            - 0.5 * np.einsum("ij,ij->i", white_means, white_means)
+            - (float(np.log(chol.diagonal()).sum()) + half_log_2pi)
+        )
+        terms = np.column_stack([white_means, consts])
+        groups.append(mixtures._Group(slice(start, stop), chol, whiten, terms))
+        start = stop
+    return groups
+
+
+def reference_covariance(mix):
+    mean = mix.weights @ mix.means
+    cov = np.zeros((mix.dim, mix.dim))
+    for k in range(mix.n_components):
+        d = mix.means[k] - mean
+        cov += mix.weights[k] * (mix.covs[k] + np.outer(d, d))
+    return cov
+
+
+def reference_node_counts(mix, t, jac, budget):
+    spread = np.zeros_like(t)
+    group_weights = np.bincount(mix._group_of, weights=mix.weights)
+    for cov, weight in zip(mix.covs[mix._heads], group_weights):
+        spread += weight * (1.0 / (np.linalg.eigvalsh(cov)[:, None] + t) ** 2).sum(axis=0)
+    share = jac * np.sqrt(spread)
+    return np.maximum(heat_flow._MIN_NODE_COUNT, (budget * share / share.sum()).astype(int))
+
+
+def reference_conditional_parts(mix, a):
+    parts = []
+    for cov in mix.covs:
+        gain = np.linalg.solve(a @ cov @ a.T, a @ cov).T
+        cond_cov = cov - gain @ (a @ cov)
+        eigval, eigvec = np.linalg.eigh(0.5 * (cond_cov + cond_cov.T))
+        floor = 1e-12 * max(1.0, float(eigval[-1]))
+        eigval = np.where(eigval < floor, 0.0, eigval)
+        factor = eigvec * np.sqrt(eigval)
+        parts.append((gain, factor))
+    return parts
 
 
 # --- the laws ---------------------------------------------------------------
@@ -408,6 +468,57 @@ def test_symmetrize_generic_12d_law():
     assert se.check_symmetry(out).verdict
 
 
+def _fixed_rows(rows, n):
+    # the first min(rows, n) rows of one fixed generic matrix, cut to n columns
+    return np.random.default_rng(5).standard_normal((2, 64))[: min(rows, n), :n]
+
+
+def test_push_forward_linear_matches_reference():
+    for name, law in LAWS.items():
+        matrix = _fixed_rows(2, law.dim)
+        got = se.push_forward_linear(law, matrix)
+        want = reference_push_forward_linear(law, matrix)
+        for field in ("weights", "means", "covs", "_heads"):
+            assert _same_arrays(getattr(got, field), getattr(want, field)), (name, field)
+
+
+def test_kernel_matches_reference():
+    for name, law in LAWS.items():
+        want = reference_kernel(law)
+        assert len(law._kernel) == len(want), name
+        for got, ref in zip(law._kernel, want):
+            assert got.span == ref.span, name
+            for field in ("chol", "whiten", "terms"):
+                assert _same_arrays(getattr(got, field), getattr(ref, field)), (name, field)
+
+
+def test_covariance_matches_reference():
+    # the sums run in another order, so they agree to rounding
+    for name, law in LAWS.items():
+        got, want = law.covariance(), reference_covariance(law)
+        assert np.array_equal(got, got.T), name
+        assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max(), name
+
+
+def test_node_counts_match_reference():
+    u, w = heat_flow._gl_unit_interval(48)
+    t, jac = u / (1.0 - u), w / (1.0 - u) ** 2
+    for name, law in LAWS.items():
+        got = heat_flow._node_counts(law, t, jac, 48 * 20000)
+        assert _same_arrays(got, reference_node_counts(law, t, jac, 48 * 20000)), name
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_conditional_parts_match_reference(rows):
+    for name, law in LAWS.items():
+        a = _fixed_rows(rows, law.dim)
+        gains, factors = estimators._conditional_parts(law, a)
+        want = reference_conditional_parts(law, a)
+        assert len(gains) == len(factors) == len(want), name
+        for gain, factor, (ref_gain, ref_factor) in zip(gains, factors, want):
+            assert _same_arrays(gain, ref_gain) and _same_arrays(factor, ref_factor), name
+
+
 PRODUCT_ARGS = [
     *((n, 2.0, 1.0) for n in range(11)),
     (3, 0.5, 2.5),
@@ -439,6 +550,16 @@ def test_bimodal_product_matches_reference(args):
     assert _outcome(se.bimodal_product, *args) == _outcome(reference_bimodal_product, *args)
 
 
+# past the eigenvalue floor, but without a Cholesky factor; scaled by 4, every
+# step of the factorization scales exactly, so it fails the same way
+NO_CHOLESKY = np.array(
+    [
+        [150039176.136264, -11600303.514384, -147416457.828324],
+        [-11600303.514384, 896879.599054, 11397528.225194],
+        [-147416457.828324, 11397528.225194, 144839586.824082],
+    ]
+)
+
 MALFORMED = {
     "empty": [],
     "zero-length": [(1.0, [], [[1.0]])],
@@ -451,6 +572,9 @@ MALFORMED = {
     "mixed-scalars": [(0.5, -1.0, [[1.0]]), (0.5, [1.0], 2.0)],
     "nan-weight": [(math.nan, [0.0], [[1.0]])],
     "not-pd": [(1.0, [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])],
+    "two-without-cholesky": [
+        (1.0, np.zeros(3), cov) for cov in (np.eye(3), 4.0 * NO_CHOLESKY, np.eye(3), NO_CHOLESKY)
+    ],
 }
 
 
@@ -460,6 +584,11 @@ def test_make_gaussian_mixture_matches_reference(name):
     assert _outcome(se.make_gaussian_mixture, components) == _outcome(
         reference_make_gaussian_mixture, components
     )
+
+
+def test_first_covariance_without_cholesky_factor_is_named():
+    with pytest.raises(NotPositiveDefiniteError, match="^component 1: cov has no Cholesky factor$"):
+        se.make_gaussian_mixture(MALFORMED["two-without-cholesky"])
 
 
 # --- Gram-Schmidt -------------------------------------------------------------
